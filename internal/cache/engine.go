@@ -340,14 +340,3 @@ func (c *Cache) Occupancy() int {
 	}
 	return n
 }
-
-// Flush invalidates every line (clflush of the whole cache, as memo does
-// before each latency measurement). The order words keep their current
-// permutation — any permutation is valid for an all-empty cache, since
-// inserts always fill from the LRU position.
-func (c *Cache) Flush() {
-	clear(c.words)
-	for i := 0; i < len(c.meta); i += 2 {
-		c.meta[i] = 0
-	}
-}

@@ -12,22 +12,20 @@ import (
 
 // benchBuffer regenerates one 32 MB buffer-latency measurement (the fig5
 // inner loop) at the quick-mode sample count.
-func benchBuffer(b *testing.B, device string, warm Warmup) {
+func benchBuffer(b *testing.B, device string) {
 	b.ReportAllocs()
 	var sink float64
 	for i := 0; i < b.N; i++ {
 		sys := topo.NewSystem(topo.DefaultConfig())
-		sink += BufferLatencyWarm(sys, sys.Path(device), 32<<20, 20000, 3, warm).Nanoseconds()
+		sink += BufferLatency(sys, sys.Path(device), 32<<20, 20000, 3).Nanoseconds()
 	}
 	if sink == 0 {
 		b.Fatal("zero latency")
 	}
 }
 
-func BenchmarkBufferLatencyDDRExact(b *testing.B)     { benchBuffer(b, "DDR5-L", WarmupExact) }
-func BenchmarkBufferLatencyDDRConverged(b *testing.B) { benchBuffer(b, "DDR5-L", WarmupConverged) }
-func BenchmarkBufferLatencyCXLExact(b *testing.B)     { benchBuffer(b, "CXL-A", WarmupExact) }
-func BenchmarkBufferLatencyCXLConverged(b *testing.B) { benchBuffer(b, "CXL-A", WarmupConverged) }
+func BenchmarkBufferLatencyDDR(b *testing.B) { benchBuffer(b, "DDR5-L") }
+func BenchmarkBufferLatencyCXL(b *testing.B) { benchBuffer(b, "CXL-A") }
 
 // BenchmarkIdleLatency measures the pointer-chase loop, permutation build
 // included (it is part of every real call).

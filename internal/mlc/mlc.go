@@ -26,7 +26,6 @@ package mlc
 
 import (
 	"context"
-	"math"
 
 	"cxlmem/internal/cache"
 	"cxlmem/internal/mem"
@@ -45,18 +44,11 @@ const chunkLines = 512 << 10
 // The zero value reproduces the historical defaults. Every knob is
 // throughput-only: measured values are byte-identical for any setting.
 type StreamOptions struct {
-	// Warm selects BufferLatency's warmup policy (WarmupExact default).
-	Warm Warmup
 	// Workers bounds the sharded stream engine's concurrent shard workers;
 	// 0 uses every available CPU.
 	Workers int
-	// Chains is IdleLatency's independent pointer-chase chain count: the
-	// buffer splits into Chains disjoint Sattolo cycles chased round-robin,
-	// the loaded-latency shape real MLC measures with. 0 or 1 keeps the
-	// single fully-dependent chase (the idle-latency contract).
-	Chains int
-	// Ctx bounds BufferLatency's warmup: it is checked between address
-	// chunks, and a cancellation unwinds as a panic carrying Ctx's error
+	// Ctx bounds BufferLatency's warmup and measurement streams: it is
+	// checked between address chunks, and a cancellation unwinds as a panic carrying Ctx's error
 	// (the sweep engine's convention — experiments.recoverAsErr restores
 	// it). A canceled warmup is never retained by the warm-state cache.
 	// nil means uncancellable.
@@ -92,13 +84,9 @@ func IdleLatency(sys *topo.System, path *topo.Path, steps int, seed uint64) sim.
 	return IdleLatencyOpt(sys, path, steps, seed, StreamOptions{})
 }
 
-// IdleLatencyOpt is IdleLatency with explicit StreamOptions. With Chains > 1
-// the buffer splits into Chains contiguous ranges, each shuffled into its own
-// Sattolo cycle and chased round-robin — the concurrent-chain loaded-latency
-// shape real MLC measures with. The chains touch disjoint lines, so the
-// steady-state miss behaviour (every access past the LLC) is unchanged; what
-// changes is that the address stream is known Chains steps ahead, which is
-// what lets the sharded engine batch it.
+// IdleLatencyOpt is IdleLatency with explicit StreamOptions. The chase is
+// fully dependent, but its address sequence is fixed by the permutation, so
+// it is generated ahead in chunks and batched through the sharded engine.
 func IdleLatencyOpt(sys *topo.System, path *topo.Path, steps int, seed uint64, o StreamOptions) sim.Time {
 	if steps <= 0 {
 		panic("mlc: non-positive step count")
@@ -107,52 +95,29 @@ func IdleLatencyOpt(sys *topo.System, path *topo.Path, steps int, seed uint64, o
 	home := sys.HomeFor(path, 0)
 	bufBytes := int64(2) * int64(hier.Config().Cores) * hier.Config().LLCSliceBytes
 	lines := int(bufBytes / cache.LineBytes)
-	chains := o.Chains
-	if chains <= 0 {
-		chains = 1
-	}
-	if chains > lines {
-		chains = lines
-	}
 
 	// Build the chase: next[i] is the line the load of line i points at.
-	// Each chain owns one contiguous range of the buffer shuffled into a
-	// single cycle (Sattolo), so no chain can trap itself in a short
-	// cache-resident loop. Chain 0 shuffles with the base RNG stream
-	// directly: at Chains <= 1 the permutation — and so the measurement —
-	// is bit-identical to the historical single-chain chase
-	// (TestIdleLatencyChainsOneMatchesSerial).
+	// The whole buffer is shuffled into a single cycle (Sattolo), so the
+	// chase can never trap itself in a short cache-resident loop.
 	rng := sim.NewRng(seed)
 	next := make([]uint32, lines)
 	for i := range next {
 		next[i] = uint32(i)
 	}
-	cursors := make([]uint32, chains)
-	for c := 0; c < chains; c++ {
-		base, end := c*lines/chains, (c+1)*lines/chains
-		cr := rng
-		if c > 0 {
-			cr = rng.Split()
-		}
-		for i := end - base - 1; i > 0; i-- {
-			j := cr.Intn(i)
-			next[base+i], next[base+j] = next[base+j], next[base+i]
-		}
-		cursors[c] = uint32(base)
+	for i := lines - 1; i > 0; i-- {
+		j := rng.Intn(i)
+		next[i], next[j] = next[j], next[i]
 	}
 
 	var counts cache.LevelCounts
 	chunk := make([]uint64, min(steps, chunkLines))
-	t := 0
+	var cur uint32
 	for remaining := steps; remaining > 0; {
 		n := min(remaining, chunkLines)
 		b := chunk[:n]
 		for i := range b {
-			c := t % chains
-			idx := cursors[c]
-			b[i] = uint64(idx) * cache.LineBytes
-			cursors[c] = next[idx]
-			t++
+			b[i] = uint64(cur) * cache.LineBytes
+			cur = next[cur]
 		}
 		hier.ReadStreamSharded(0, b, home, &counts, o.Workers)
 		remaining -= n
@@ -160,101 +125,57 @@ func IdleLatencyOpt(sys *topo.System, path *topo.Path, steps int, seed uint64, o
 	return streamTotal(path, &counts) / sim.Time(steps)
 }
 
-// Warmup selects how BufferLatency brings the hierarchy to steady state
-// before sampling.
-type Warmup int
-
-const (
-	// WarmupExact replays the historical fixed warmup — six buffer passes'
-	// worth of random touches — so results are byte-identical to the
-	// pre-engine-rebuild goldens.
-	WarmupExact Warmup = iota
-	// WarmupConverged warms epoch by epoch (one buffer pass each) and stops
-	// as soon as the LLC hit rate changes by less than WarmTolerance
-	// between consecutive epochs, capped at WarmMaxPasses. Same steady
-	// state, fewer simulated accesses when the working set settles early.
-	WarmupConverged
-)
-
-const (
-	// WarmTolerance is the epoch-over-epoch LLC hit-rate delta under which
-	// WarmupConverged declares steady state.
-	WarmTolerance = 0.01
-	// WarmMaxPasses bounds WarmupConverged on working sets that never
-	// settle (matching WarmupExact's fixed six passes).
-	WarmMaxPasses = 6
-)
+// warmPasses is the fixed warmup length: BufferLatency streams this many
+// buffers' worth of random touches before sampling. The golden corpus pins
+// this one definition of steady state.
+const warmPasses = 6
 
 // BufferLatency measures the average latency of random accesses within a
 // buffer of bufBytes homed on path's device — the §4.3 experiment: a 32 MB
 // buffer fits the socket-wide LLC when homed on CXL memory but overflows a
-// single SNC node's slices when homed on local DDR. It uses WarmupExact.
+// single SNC node's slices when homed on local DDR.
 func BufferLatency(sys *topo.System, path *topo.Path, bufBytes int64, samples int, seed uint64) sim.Time {
 	return BufferLatencyOpt(sys, path, bufBytes, samples, seed, StreamOptions{})
 }
 
-// BufferLatencyWarm is BufferLatency with an explicit warmup policy.
-func BufferLatencyWarm(sys *topo.System, path *topo.Path, bufBytes int64, samples int, seed uint64, warm Warmup) sim.Time {
-	return BufferLatencyOpt(sys, path, bufBytes, samples, seed, StreamOptions{Warm: warm})
+// runWarmup brings hier to the buffer measurement's steady state with
+// warmPasses buffers' worth of random touches, drawing the warmup stream
+// from rng (which is left positioned at the start of the measurement
+// stream). It is the single warmup implementation: the inline path and the
+// warm-state cache's compute path both call it, so a restored snapshot is
+// byte-identical to a cold warmup by construction.
+func runWarmup(ctx context.Context, hier *cache.Hierarchy, home cache.Home, lines int64, rng *sim.Rng, workers int) error {
+	var counts cache.LevelCounts
+	return streamRandom(ctx, hier, home, lines, rng, int(lines)*warmPasses, workers, &counts)
 }
 
-// runWarmup brings hier to the buffer measurement's steady state, drawing
-// the warmup stream from rng (which is left positioned at the start of the
-// measurement stream). It is the single warmup implementation: the inline
-// path and the warm-state cache's compute path both call it, so a restored
-// snapshot is byte-identical to a cold warmup by construction. ctx is
-// checked between address chunks; the only error returned is ctx's.
-func runWarmup(ctx context.Context, hier *cache.Hierarchy, home cache.Home, lines int64, rng *sim.Rng, warm Warmup, workers int) error {
-	chunk := make([]uint64, chunkLines)
-	// pass streams one buffer's worth (or an arbitrary count) of random
-	// touches, returning the pass's own level histogram.
-	pass := func(accesses int) (cache.LevelCounts, error) {
-		var c cache.LevelCounts
-		for remaining := accesses; remaining > 0; {
-			if err := ctx.Err(); err != nil {
-				return c, err
-			}
-			n := min(remaining, chunkLines)
-			b := chunk[:n]
-			for i := range b {
-				b[i] = uint64(rng.Int63n(lines)) * cache.LineBytes
-			}
-			hier.ReadStreamSharded(0, b, home, &c, workers)
-			remaining -= n
+// streamRandom drives n uniform random touches of the buffer's lines, drawn
+// from rng, through the sharded engine into counts. ctx is checked between
+// address chunks; the only error returned is ctx's.
+func streamRandom(ctx context.Context, hier *cache.Hierarchy, home cache.Home, lines int64, rng *sim.Rng, n, workers int, counts *cache.LevelCounts) error {
+	chunk := make([]uint64, min(n, chunkLines))
+	for remaining := n; remaining > 0; {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		return c, nil
-	}
-
-	switch warm {
-	case WarmupExact:
-		_, err := pass(int(lines) * WarmMaxPasses)
-		return err
-	case WarmupConverged:
-		prev := math.Inf(-1)
-		for i := 0; i < WarmMaxPasses; i++ {
-			c, err := pass(int(lines))
-			if err != nil {
-				return err
-			}
-			hitRate := float64(c[cache.LLC]) / float64(lines)
-			if math.Abs(hitRate-prev) < WarmTolerance {
-				break
-			}
-			prev = hitRate
+		k := min(remaining, chunkLines)
+		b := chunk[:k]
+		for i := range b {
+			b[i] = uint64(rng.Int63n(lines)) * cache.LineBytes
 		}
-		return nil
-	default:
-		panic("mlc: unknown warmup mode")
+		hier.ReadStreamSharded(0, b, home, counts, workers)
+		remaining -= k
 	}
+	return nil
 }
 
 // BufferLatencyOpt is BufferLatency with explicit StreamOptions. Random
 // accesses are already independent of each other, so the whole warmup and
 // measurement stream is generated ahead of the simulation in large chunks
-// and driven through the sharded engine; Chains has no effect here. The
-// warmup goes through the warm-state snapshot cache (warmstate.go) when the
-// hierarchy is pristine: repeated operating points restore the memoized
-// warmed state instead of re-simulating millions of warmup accesses.
+// and driven through the sharded engine. The warmup goes through the
+// warm-state snapshot cache (warmstate.go) when the hierarchy is pristine:
+// repeated operating points restore the memoized warmed state instead of
+// re-simulating millions of warmup accesses.
 func BufferLatencyOpt(sys *topo.System, path *topo.Path, bufBytes int64, samples int, seed uint64, o StreamOptions) sim.Time {
 	if samples <= 0 || bufBytes < cache.LineBytes {
 		panic("mlc: invalid buffer latency parameters")
@@ -265,18 +186,12 @@ func BufferLatencyOpt(sys *topo.System, path *topo.Path, bufBytes int64, samples
 
 	// rng comes back positioned at the start of the measurement stream,
 	// whether the warmup was simulated or restored from a snapshot.
-	rng := warmBuffer(o.context(), hier, home, lines, seed, o)
+	ctx := o.context()
+	rng := warmBuffer(ctx, hier, home, lines, seed, o)
 
-	chunk := make([]uint64, chunkLines)
 	var counts cache.LevelCounts
-	for remaining := samples; remaining > 0; {
-		n := min(remaining, chunkLines)
-		b := chunk[:n]
-		for i := range b {
-			b[i] = uint64(rng.Int63n(lines)) * cache.LineBytes
-		}
-		hier.ReadStreamSharded(0, b, home, &counts, o.Workers)
-		remaining -= n
+	if err := streamRandom(ctx, hier, home, lines, rng, samples, o.Workers, &counts); err != nil {
+		panic(err) // the sweep convention, as in warmBuffer
 	}
 	return streamTotal(path, &counts) / sim.Time(samples)
 }

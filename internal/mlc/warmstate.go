@@ -14,12 +14,12 @@ import (
 // Warm-state snapshot cache (DESIGN.md §15).
 //
 // BufferLatency's warmup dominates its cost: bringing the hierarchy to
-// steady state streams WarmMaxPasses buffer passes of random touches —
+// steady state streams warmPasses buffer passes of random touches —
 // millions of simulated accesses — before the first measured sample. But the
 // post-warmup state is a pure function of (hierarchy configuration, home,
-// buffer size, seed, warmup policy): the same operating point re-measured —
-// a re-run, fig5 and ablation-llc sharing their CXL-A baseline row, a
-// cxlserve cold-cache miss — re-simulates an identical warmup. warmStates
+// buffer size, seed): the same operating point re-measured — a re-run, fig5
+// and ablation-llc sharing their CXL-A baseline row, a cxlserve cold-cache
+// miss — re-simulates an identical warmup. warmStates
 // memoizes the warmed state: a bounded, single-flight cache mapping the
 // warmup key to a hierarchy Snapshot plus the RNG state at the end of the
 // warmup stream. A hit restores the snapshot and resumes the RNG where the
@@ -27,11 +27,11 @@ import (
 // would have after a cold warmup — byte-identical results, pinned by
 // TestWarmStateByteIdentical and the golden corpus.
 //
-// Keying deliberately excludes sample counts, worker counts and chain
-// counts: none of them shape the warmup stream. Canceled warmups are never
-// retained (memo drops context-canceled results), and the cache only
-// engages for hierarchies that have never simulated an access — anything
-// else warms inline, exactly as before.
+// Keying deliberately excludes sample counts and worker counts: neither
+// shapes the warmup stream. Canceled warmups are never retained (memo drops
+// context-canceled results), and the cache only engages for hierarchies
+// that have never simulated an access — anything else warms inline, exactly
+// as before.
 
 // DefaultWarmStateEntries is the warm-state cache's default entry budget.
 // Each entry holds a full hierarchy snapshot (~19 MB for the SPR model), so
@@ -65,11 +65,10 @@ func WarmStateStats() memo.CacheStats { return warmStates.Stats() }
 
 // warmKey canonicalizes everything that shapes a warmup: the hierarchy
 // configuration (HierConfig is a flat value, so %+v is canonical), the
-// home's routing class and node, the buffer's line count, the RNG seed and
-// the warmup policy.
-func warmKey(cfg cache.HierConfig, home cache.Home, lines int64, seed uint64, warm Warmup) string {
-	return fmt.Sprintf("%+v|home=%d:%d|lines=%d|seed=%d|warm=%d",
-		cfg, home.Kind, home.Node, lines, seed, warm)
+// home's routing class and node, the buffer's line count and the RNG seed.
+func warmKey(cfg cache.HierConfig, home cache.Home, lines int64, seed uint64) string {
+	return fmt.Sprintf("%+v|home=%d:%d|lines=%d|seed=%d",
+		cfg, home.Kind, home.Node, lines, seed)
 }
 
 // warmState is one memoized warmup: the warmed hierarchy and the RNG state
@@ -93,9 +92,8 @@ func canceled(err error) bool {
 // cancellation unwinds as a panic carrying ctx's error, matching the sweep
 // engine's cancellation convention (experiments.recoverAsErr restores it).
 func warmBuffer(ctx context.Context, hier *cache.Hierarchy, home cache.Home, lines int64, seed uint64, o StreamOptions) *sim.Rng {
-	warm := o.Warm
 	if !warmStatesOff.Load() && hier.Pristine() {
-		key := warmKey(hier.Config(), home, lines, seed, warm)
+		key := warmKey(hier.Config(), home, lines, seed)
 		warmedHere := false
 		v, err := warmStates.DoCtx(ctx, key, func(cctx context.Context) (any, error) {
 			// The computation warms this caller's own hierarchy — the result
@@ -108,7 +106,7 @@ func warmBuffer(ctx context.Context, hier *cache.Hierarchy, home cache.Home, lin
 			}
 			warmedHere = h == hier
 			r := sim.NewRng(seed)
-			if err := runWarmup(cctx, h, home, lines, r, warm, o.Workers); err != nil {
+			if err := runWarmup(cctx, h, home, lines, r, o.Workers); err != nil {
 				return nil, err
 			}
 			snap, ok := h.Capture()
@@ -144,7 +142,7 @@ func warmBuffer(ctx context.Context, hier *cache.Hierarchy, home cache.Home, lin
 		// at all) and the failure was not a cancellation: warm inline below.
 	}
 	rng := sim.NewRng(seed)
-	if err := runWarmup(ctx, hier, home, lines, rng, warm, o.Workers); err != nil {
+	if err := runWarmup(ctx, hier, home, lines, rng, o.Workers); err != nil {
 		panic(err)
 	}
 	return rng

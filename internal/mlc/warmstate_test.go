@@ -76,8 +76,8 @@ func TestWarmStateSharedKey(t *testing.T) {
 	const buf, seed = 2 << 20, uint64(9100)
 	homeFig := sysFig5.HomeFor(sysFig5.Path("CXL-A"), 0)
 	homeAbl := sysAbl.HomeFor(sysAbl.Path("CXL-A"), 0)
-	k1 := warmKey(sysFig5.Hier.Config(), homeFig, buf/64, seed, WarmupExact)
-	k2 := warmKey(sysAbl.Hier.Config(), homeAbl, buf/64, seed, WarmupExact)
+	k1 := warmKey(sysFig5.Hier.Config(), homeFig, buf/64, seed)
+	k2 := warmKey(sysAbl.Hier.Config(), homeAbl, buf/64, seed)
 	if k1 != k2 {
 		t.Fatalf("fig5 and ablation-llc keys differ:\n%s\n%s", k1, k2)
 	}

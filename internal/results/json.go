@@ -25,6 +25,7 @@ type wireProvenance struct {
 	Platform   string `json:"platform"`
 	Scenario   string `json:"scenario"`
 	Quick      bool   `json:"quick"`
+	// Always false (the policy is removed) so schema-1 bytes stay fixed.
 	FastWarmup bool   `json:"fastwarmup"`
 	Seed       uint64 `json:"seed"`
 	// Fidelity is omitted when empty (exact), keeping exact-run wire bytes
@@ -122,7 +123,6 @@ func (d *Dataset) wire() wireDataset {
 			Platform:   d.Prov.Platform,
 			Scenario:   d.Prov.Scenario,
 			Quick:      d.Prov.Quick,
-			FastWarmup: d.Prov.FastWarmup,
 			Seed:       d.Prov.Seed,
 			Fidelity:   d.Prov.Fidelity,
 		},
@@ -170,6 +170,9 @@ func ParseJSON(data []byte) (*Dataset, error) {
 	if w.Schema != jsonSchemaVersion {
 		return nil, fmt.Errorf("results: unsupported dataset schema %d (want %d)", w.Schema, jsonSchemaVersion)
 	}
+	if w.Provenance.FastWarmup {
+		return nil, fmt.Errorf("results: dataset %q was produced with the removed fastwarmup (convergence-based warmup) policy, which this build cannot reproduce", w.ID)
+	}
 	d := New(w.ID, w.Title)
 	for _, c := range w.Columns {
 		d.Columns = append(d.Columns, Column{Name: c.Name, Unit: c.Unit})
@@ -181,7 +184,6 @@ func ParseJSON(data []byte) (*Dataset, error) {
 		Platform:     w.Provenance.Platform,
 		Scenario:     w.Provenance.Scenario,
 		Quick:        w.Provenance.Quick,
-		FastWarmup:   w.Provenance.FastWarmup,
 		Seed:         w.Provenance.Seed,
 		Fidelity:     w.Provenance.Fidelity,
 	}

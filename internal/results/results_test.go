@@ -17,7 +17,7 @@ func sample() *Dataset {
 	d.AddRow(Str("DDR5-L"), Num(41.03125, 1), Pct(0.701), Int(8))
 	d.AddRow(Str("CXL-A"), Num(176.5, 1), Pct(0.4603), Int(1))
 	d.AddNote("a note with = signs and %d digits", 42)
-	d.Prov = Provenance{ExperimentID: "fig-test", Platform: "table1", Scenario: "dlrm/policy=cxl", Quick: true, FastWarmup: false, Seed: 7}
+	d.Prov = Provenance{ExperimentID: "fig-test", Platform: "table1", Scenario: "dlrm/policy=cxl", Quick: true, Seed: 7}
 	return d
 }
 
@@ -131,6 +131,24 @@ func TestJSONRoundTrip(t *testing.T) {
 	// Field order is pinned: the wire form leads with schema, then id.
 	if !strings.HasPrefix(out, "{\n  \"schema\": 1,\n  \"id\": \"fig-test\"") {
 		t.Errorf("pinned field order broken:\n%s", out[:80])
+	}
+}
+
+// TestParseJSONRejectsFastWarmup pins the fixed provenance field: emitters
+// always write "fastwarmup": false, and a dataset whose provenance says true
+// came from the removed convergence-based warmup, so ParseJSON refuses it.
+func TestParseJSONRejectsFastWarmup(t *testing.T) {
+	out, err := Emit(sample(), "json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const field = `"fastwarmup": false,`
+	if strings.Count(out, field) != 1 {
+		t.Fatalf("emitted JSON lacks %s:\n%s", field, out)
+	}
+	_, err = ParseJSON([]byte(strings.Replace(out, field, `"fastwarmup": true,`, 1)))
+	if err == nil || !strings.Contains(err.Error(), "fastwarmup") {
+		t.Errorf("fastwarmup=true dataset: err = %v, want a rejection naming fastwarmup", err)
 	}
 }
 

@@ -23,8 +23,8 @@
 //	/healthz                                liveness ("ok", or 503 draining)
 //
 // Shared query parameters on /v1/run and /v1/scenario: format (text|json|
-// csv, default json — it is a query daemon), platform, quick, fastwarm,
-// fidelity (exact|auto|fast, the measurement tier of the cache-simulating
+// csv, default json — it is a query daemon), platform, quick, fidelity
+// (exact|auto|fast, the measurement tier of the cache-simulating
 // experiments), seed, timeout. Request knobs override the server's base
 // options; the sweep worker count stays a server-side setting so clients
 // cannot oversubscribe the host, and a request timeout can only lower the
@@ -408,17 +408,13 @@ func (s *Server) requestOptions(w http.ResponseWriter, r *http.Request) (experim
 		}
 		opts.Fidelity = f
 	}
-	for name, dst := range map[string]*bool{"quick": &opts.Quick, "fastwarm": &opts.FastWarmup} {
-		v := q.Get(name)
-		if v == "" {
-			continue
-		}
+	if v := q.Get("quick"); v != "" {
 		b, err := strconv.ParseBool(v)
 		if err != nil {
-			http.Error(w, fmt.Sprintf("bad %s parameter %q", name, v), http.StatusBadRequest)
+			http.Error(w, fmt.Sprintf("bad quick parameter %q", v), http.StatusBadRequest)
 			return opts, nil, false
 		}
-		*dst = b
+		opts.Quick = b
 	}
 	if v := q.Get("seed"); v != "" {
 		seed, err := strconv.ParseUint(v, 10, 64)
