@@ -141,12 +141,7 @@ type RunConfig struct {
 // RunExperiment regenerates the table or figure with the given ID at full
 // fidelity and returns its text rendering.
 func RunExperiment(id string) (string, error) {
-	return RunExperimentCfg(id, RunConfig{})
-}
-
-// RunExperimentQuick runs a reduced-sample variant (used by benchmarks).
-func RunExperimentQuick(id string) (string, error) {
-	return RunExperimentCfg(id, RunConfig{Quick: true})
+	return RunExperimentIn(id, RunConfig{}, "")
 }
 
 // options converts a RunConfig into the experiment layer's option set.
@@ -165,12 +160,6 @@ func (cfg RunConfig) options() experiments.Options {
 		opts.Seed = cfg.Seed
 	}
 	return opts
-}
-
-// RunExperimentCfg regenerates one experiment under the given configuration
-// and returns its text rendering (byte-identical to the historical tables).
-func RunExperimentCfg(id string, cfg RunConfig) (string, error) {
-	return RunExperimentIn(id, cfg, "")
 }
 
 // RunExperimentIn regenerates one experiment and renders it in the named

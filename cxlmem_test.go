@@ -91,13 +91,13 @@ func TestPlatformFacade(t *testing.T) {
 	}
 	// A bad platform must surface as an error from the matrix experiments,
 	// not as a panic inside their code-defined-cells-cannot-fail drivers.
-	if _, err := RunExperimentCfg("matrix-apps", RunConfig{Quick: true, Platform: "nope"}); err == nil {
+	if _, err := RunExperimentIn("matrix-apps", RunConfig{Quick: true, Platform: "nope"}, ""); err == nil {
 		t.Error("unknown platform should fail matrix experiments cleanly")
 	}
 }
 
 func TestRunExperiment(t *testing.T) {
-	out, err := RunExperimentQuick("table1")
+	out, err := RunExperimentIn("table1", RunConfig{Quick: true}, "")
 	if err != nil {
 		t.Fatal(err)
 	}

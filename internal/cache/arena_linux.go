@@ -7,12 +7,12 @@ import (
 	"unsafe"
 )
 
-// adviseHugePages asks the kernel to back the slab arena with transparent
+// adviseHugePages asks Linux to back the slab arena with transparent
 // huge pages. The simulation's random set probes touch megabytes of tag
 // slab; on 4 KB pages every probe costs a dTLB miss and a page walk that the
 // CPU cannot overlap, which — not the cache misses — dominates the streamed
 // measurement loops. With 2 MB pages the whole arena needs a handful of TLB
-// entries. Purely a hint: failure (or a kernel with THP disabled) is
+// entries. Purely a hint: failure (or a host with THP disabled) is
 // ignored and only costs speed.
 func adviseHugePages(words []uint64) {
 	if len(words) == 0 {

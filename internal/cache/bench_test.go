@@ -1,8 +1,9 @@
 package cache
 
-// Engine micro-benchmarks: the per-operation and per-access costs the mlc
-// measurement loops are built from, so the packed tag engine has its own
-// tracked baseline (like internal/numa's allocator benchmarks). Run with
+// Stream-loop benchmarks: the per-access cost of the one loop the mlc
+// measurement paths run, on three working-set shapes, so the packed tag
+// engine has its own tracked baseline (like internal/numa's allocator
+// benchmarks). Run with
 //
 //	go test ./internal/cache -run '^$' -bench . -benchmem
 
@@ -11,50 +12,6 @@ import (
 
 	"cxlmem/internal/sim"
 )
-
-// BenchmarkCacheLookupHit measures a hot single-set hit (the L1 fast path).
-func BenchmarkCacheLookupHit(b *testing.B) {
-	c := NewCache(48<<10, 12)
-	c.Insert(0x1000, Home{}, false)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Lookup(0x1000, false)
-	}
-}
-
-// BenchmarkCacheLookupMiss measures a full-set scan that concludes a miss.
-func BenchmarkCacheLookupMiss(b *testing.B) {
-	c := NewCache(LineBytes*16, 16) // single full set
-	for i := uint64(0); i < 16; i++ {
-		c.Insert(i*LineBytes, Home{}, false)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Lookup(1<<30, false)
-	}
-}
-
-// BenchmarkCacheInsertEvict measures the fused scan+shift insert with an
-// eviction on every call (full set, always-new tags).
-func BenchmarkCacheInsertEvict(b *testing.B) {
-	c := NewCache(LineBytes*16, 16) // single set
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Insert(uint64(i)*LineBytes, Home{}, false)
-	}
-}
-
-// BenchmarkCacheProbeRemoveHit measures the combined LLC victim-cache
-// operation: probe, hit, compact — plus the refill that keeps it hitting.
-func BenchmarkCacheProbeRemoveHit(b *testing.B) {
-	c := NewCache(LineBytes*16, 16)
-	c.Insert(0, Home{}, false)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.ProbeRemove(0)
-		c.Insert(0, Home{}, false)
-	}
-}
 
 // benchHierarchy streams n uniform random line addresses over bufLines
 // through a fresh SNC-4 hierarchy and reports ns per simulated access.
@@ -90,33 +47,4 @@ func BenchmarkAccessLLCPromote(b *testing.B) {
 // slices — the fig5 shape, heavy on full misses with victim spills.
 func BenchmarkAccessMemoryMiss(b *testing.B) {
 	benchHierarchy(b, Home{Kind: HomeLocalDDR}, 1<<19) // 32 MB buffer
-}
-
-// BenchmarkReadStreamFused pins the monomorphized stream kernel on the fig5
-// shape (DDR-homed 32 MB working set, SNC-confined route): the kernel must
-// exist and dispatch, so a silently dead fused path fails the benchmark
-// instead of quietly regressing to the generic loop. CI runs this as a smoke
-// test.
-func BenchmarkReadStreamFused(b *testing.B) {
-	h := NewHierarchy(SPRHierConfig(4))
-	h.materializeAll()
-	if h.kern == nil {
-		b.Fatal("SPR hierarchy did not build a stream kernel")
-	}
-	if rt := h.routeFor(Home{Kind: HomeLocalDDR}); rt.mask == 0 {
-		b.Fatal("confined SPR route is not a power of two — fused dispatch dead")
-	}
-	benchHierarchy(b, Home{Kind: HomeLocalDDR}, 1<<19)
-}
-
-// BenchmarkAccessScalar pins the scalar Access entry point on the miss-heavy
-// shape, to keep the ReadStream fast path honest.
-func BenchmarkAccessScalar(b *testing.B) {
-	h := NewHierarchy(SPRHierConfig(4))
-	home := Home{Kind: HomeLocalDDR}
-	rng := sim.NewRng(7)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Access(0, uint64(rng.Int63n(1<<19))*LineBytes, home, false)
-	}
 }

@@ -87,12 +87,12 @@ type Home struct {
 // Cache is a single set-associative, LRU write-back cache.
 // It stores tags only — the simulation tracks placement, not data.
 //
-// The tag store is allocated lazily on the first fill: building a System is
-// cheap for the many analytic experiments that never simulate an access.
-// Storage is a single flat slab of packed tag words; engine.go holds the
-// layout and the access operations.
+// The tag store is carved lazily, when its hierarchy first simulates an
+// access (materializeAll): building a System is cheap for the many analytic
+// experiments that never simulate one. Storage is a single flat slab of
+// packed tag words; engine.go holds the layout and its operations.
 type Cache struct {
-	words []uint64 // packed tag words; nil until first fill
+	words []uint64 // packed tag words; nil until materialized
 	// meta is the per-set sidecar: meta[2s] is set s's fingerprint word (one
 	// 4-bit nibble per slot), meta[2s+1] its recency order word (nibble j =
 	// slot at recency position j). The pair is interleaved so a probe and its
@@ -139,26 +139,3 @@ func NewCache(sizeBytes int64, ways int) *Cache {
 
 // Lines returns the capacity in cache lines.
 func (c *Cache) Lines() int { return c.setCount * c.ways }
-
-// SizeBytes returns the modeled capacity in bytes.
-func (c *Cache) SizeBytes() int64 { return int64(c.Lines()) * LineBytes }
-
-func (c *Cache) setIndex(addr uint64) uint64 {
-	line := addr / LineBytes
-	// Fibonacci hashing: the *high* bits of the multiplicative hash index
-	// the set. Slice routing (hierarchy.go) consumes the low bits of the
-	// same product, so using high bits here keeps set placement
-	// uncorrelated with slice placement — like the physical-address
-	// hashing real LLCs use.
-	if c.shift >= 64 {
-		return 0
-	}
-	return (line * 0x9e3779b97f4a7c15) >> c.shift
-}
-
-// Victim is a line displaced by an insertion.
-type Victim struct {
-	Addr  uint64
-	Home  Home
-	Dirty bool
-}

@@ -413,35 +413,6 @@ func TestWorkingSetHitRate(t *testing.T) {
 	}
 }
 
-func TestSortedSliceShare(t *testing.T) {
-	// Under capacity: everyone gets their demand.
-	got := SortedSliceShare([]int64{10, 20}, 100)
-	if got[0] != 10 || got[1] != 20 {
-		t.Errorf("under capacity: %v", got)
-	}
-	// Over capacity: water-filling.
-	got = SortedSliceShare([]int64{10, 100, 100}, 90)
-	if got[0] != 10 || got[1] != 40 || got[2] != 40 {
-		t.Errorf("water filling: %v", got)
-	}
-	var sum int64
-	for _, v := range got {
-		sum += v
-	}
-	if sum != 90 {
-		t.Errorf("shares sum to %d, want 90", sum)
-	}
-}
-
-func TestSortedSliceSharePanicsOnNegative(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("negative demand should panic")
-		}
-	}()
-	SortedSliceShare([]int64{-1}, 10)
-}
-
 func TestAccessPanicsOnBadCore(t *testing.T) {
 	h := NewHierarchy(SPRHierConfig(1))
 	defer func() {
@@ -450,13 +421,6 @@ func TestAccessPanicsOnBadCore(t *testing.T) {
 		}
 	}()
 	h.Access(99, 0, Home{}, false)
-}
-
-func TestNodeOf(t *testing.T) {
-	h := NewHierarchy(SPRHierConfig(4))
-	if h.NodeOf(0) != 0 || h.NodeOf(7) != 0 || h.NodeOf(8) != 1 || h.NodeOf(31) != 3 {
-		t.Error("NodeOf mapping wrong")
-	}
 }
 
 func TestLevelStrings(t *testing.T) {

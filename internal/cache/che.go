@@ -1,9 +1,6 @@
 package cache
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Che's approximation for LRU caches under the independent reference model:
 // an item with access probability p is in the cache with probability
@@ -136,44 +133,4 @@ func WorkingSetHitRate(workingSetBytes, capacityBytes int64, s float64) float64 
 		return UniformLRUHitRate(n, c)
 	}
 	return ZipfLRUHitRate(n, s, c)
-}
-
-// SortedSliceShare is a helper for interference analysis: given per-actor
-// LLC footprints (bytes) contending for a shared capacity, it returns each
-// actor's share under proportional (fair) partitioning. Shares sum to the
-// capacity when demand exceeds it, otherwise each actor gets its demand.
-func SortedSliceShare(demands []int64, capacity int64) []int64 {
-	out := make([]int64, len(demands))
-	var total int64
-	for _, d := range demands {
-		if d < 0 {
-			panic("cache: negative demand")
-		}
-		total += d
-	}
-	if total <= capacity {
-		copy(out, demands)
-		return out
-	}
-	// Water-filling: small demands are fully satisfied, the rest split the
-	// remainder evenly.
-	idx := make([]int, len(demands))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return demands[idx[a]] < demands[idx[b]] })
-	remaining := capacity
-	left := len(demands)
-	for _, i := range idx {
-		fair := remaining / int64(left)
-		d := demands[i]
-		if d <= fair {
-			out[i] = d
-		} else {
-			out[i] = fair
-		}
-		remaining -= out[i]
-		left--
-	}
-	return out
 }

@@ -80,7 +80,7 @@ const (
 	swarLow  = 0x1111111111111111
 	swarHigh = 0x8888888888888888
 
-	// identityOrder is a fresh set's recency permutation: slot j at position
+	// identityOrder is a new set's recency permutation: slot j at position
 	// j. Any permutation is valid for an all-empty set (inserts fill from
 	// the LRU position), but the identity keeps the dead nibbles above every
 	// live slot index until rotations retire them.
@@ -174,30 +174,10 @@ func ordRemove(ord uint64, p int, lruShift uint) uint64 {
 	return (ord&low|ord>>4&^low)&^(15<<lruShift) | uint64(p)<<lruShift
 }
 
-// materialize allocates the tag slab and sidecars on first fill. Zero words
-// are empty slots, so only the order words need an initialization pass.
-func (c *Cache) materialize() {
-	if c.words == nil {
-		c.words = make([]uint64, c.setCount*c.ways)
-		c.meta = make([]uint64, 2*c.setCount)
-		for i := 1; i < len(c.meta); i += 2 {
-			c.meta[i] = identityOrder
-		}
-	}
-}
-
-// set returns the slot words of the set holding the hashed line.
-func (c *Cache) set(hash uint64) (set []uint64, s int) {
-	s = int(hash >> c.shift)
-	b := s * c.ways
-	return c.words[b : b+c.ways], s
-}
-
 // fillSlot writes w as set s's new MRU line into the LRU slot named by the
 // order word, returning the displaced word — zero if that slot was empty
 // (empty slots sit at the logical tail), otherwise the evicted LRU line.
-// Exactly one slot word is read and written. Raw-array form shared by the
-// Cache methods and the fused stream loops.
+// Exactly one slot word is read and written.
 func fillSlot(set, meta []uint64, s int, w, nib uint64, lruShift uint) (displaced uint64) {
 	m := 2 * s
 	ord := meta[m+1]
@@ -216,127 +196,4 @@ func clearSlot(set, meta []uint64, s, p int, lruShift uint) {
 	set[p] = 0
 	meta[m] &^= 15 << (4 * uint(p))
 	meta[m+1] = ordRemove(meta[m+1], p, lruShift)
-}
-
-// fill writes w as the set's new MRU line into the LRU slot, returning the
-// displaced word (zero if the slot was empty).
-func (c *Cache) fill(set []uint64, s int, w, nib uint64) (displaced uint64) {
-	return fillSlot(set, c.meta, s, w, nib, c.lruShift)
-}
-
-// touch promotes the line at physical slot p to the MRU position. Only the
-// order word changes — the line stays in its slot and the fingerprint
-// sidecar is untouched.
-func (c *Cache) touch(s, p int) {
-	c.meta[2*s+1] = ordPromote(c.meta[2*s+1], p)
-}
-
-// removeSlot deletes the line at physical slot p, clearing its word and
-// fingerprint nibble and parking the freed slot at the logical tail.
-func (c *Cache) removeSlot(set []uint64, s, p int) {
-	clearSlot(set, c.meta, s, p, c.lruShift)
-}
-
-// Lookup probes for addr. On a hit it promotes the line to the set's MRU
-// position, applies the dirty bit for writes, and returns true.
-func (c *Cache) Lookup(addr uint64, write bool) bool {
-	if c.words == nil {
-		c.Misses++
-		return false
-	}
-	line := addr / LineBytes
-	hash := line * fibMul
-	set, s := c.set(hash)
-	i := findIn(set, c.meta[2*s], nibbleOf(hash)*swarLow, line+1)
-	if i < 0 {
-		c.Misses++
-		return false
-	}
-	c.touch(s, i)
-	if write {
-		set[i] |= dirtyFlag
-	}
-	c.Hits++
-	return true
-}
-
-// Insert fills addr into the cache, returning the displaced victim (if any).
-// A line already present is promoted to MRU and its dirty bit merged.
-func (c *Cache) Insert(addr uint64, home Home, dirty bool) (Victim, bool) {
-	c.materialize()
-	line := addr / LineBytes
-	hash := line * fibMul
-	set, s := c.set(hash)
-	nib := nibbleOf(hash)
-	ptag := line + 1
-
-	if i := findIn(set, c.meta[2*s], nib*swarLow, ptag); i >= 0 {
-		// Already present: promote, keep the original home, merge dirty.
-		c.touch(s, i)
-		if dirty {
-			set[i] |= dirtyFlag
-		}
-		return Victim{}, false
-	}
-	displaced := c.fill(set, s, packWord(ptag, home, dirty), nib)
-	if displaced == 0 {
-		return Victim{}, false
-	}
-	c.Evictions++
-	return Victim{
-		Addr:  (displaced&ptagMask - 1) * LineBytes,
-		Home:  unpackHome(displaced),
-		Dirty: displaced&dirtyFlag != 0,
-	}, true
-}
-
-// remove deletes addr from its set if present and reports whether it was
-// found and whether it was dirty.
-func (c *Cache) remove(addr uint64) (found, dirty bool) {
-	if c.words == nil {
-		return false, false
-	}
-	line := addr / LineBytes
-	hash := line * fibMul
-	set, s := c.set(hash)
-	i := findIn(set, c.meta[2*s], nibbleOf(hash)*swarLow, line+1)
-	if i < 0 {
-		return false, false
-	}
-	w := set[i]
-	c.removeSlot(set, s, i)
-	return true, w&dirtyFlag != 0
-}
-
-// ProbeRemove is the LLC victim-cache operation: one combined probe that, on
-// a hit, removes the line (it is being promoted back into a private cache)
-// and reports its dirty bit. It updates Hits/Misses exactly as a Lookup
-// followed by an Invalidate used to, but touches the set once.
-func (c *Cache) ProbeRemove(addr uint64) (found, dirty bool) {
-	found, dirty = c.remove(addr)
-	if found {
-		c.Hits++
-	} else {
-		c.Misses++
-	}
-	return found, dirty
-}
-
-// Invalidate removes addr if present, returning whether it was found and
-// whether it was dirty. Unlike ProbeRemove it leaves the hit/miss counters
-// alone (it models an explicit flush, not a demand access).
-func (c *Cache) Invalidate(addr uint64) (found, dirty bool) {
-	return c.remove(addr)
-}
-
-// Occupancy returns the number of valid lines (O(capacity); intended for
-// tests and diagnostics).
-func (c *Cache) Occupancy() int {
-	n := 0
-	for _, w := range c.words {
-		if w != 0 {
-			n++
-		}
-	}
-	return n
 }

@@ -64,43 +64,39 @@ type Hierarchy struct {
 	// LLCHits/LLCMisses aggregate slice-level statistics.
 	LLCHits, LLCMisses uint64
 
-	arena []uint64 // slab arena shared by every cache; see materializeAll
-	// fresh records that every cache was carved from the arena (no cache had
-	// materialized standalone first), so the arena alone is the hierarchy's
-	// complete line state. Capture/Restore (snapshot.go) require it.
-	fresh bool
+	arena []uint64 // slab arena shared by every cache; nil until materializeAll
 
-	// kern is the monomorphized LLC view for the fused stream loop, built by
-	// materializeAll when the slab layout allows it (kernel.go); nil means
-	// streamInto uses the generic per-slice loop. Read-only once built.
-	kern *streamKernel
+	// llcWords/llcMeta are flat, slice-major views of every LLC slice's tag
+	// words and sidecar pairs: slice si's set s is flat set si*llcSets+s, so
+	// the stream loop resolves an LLC set with one multiply-add instead of a
+	// per-slice pointer chase. Every slice shares one geometry (NewHierarchy
+	// builds them identically), recorded once alongside. Set by
+	// materializeAll; they alias the arena the Cache structs mutate.
+	llcWords, llcMeta []uint64
+	llcSets, llcWays  int
+	llcShift, llcLru  uint
 
 	// Reusable counting-sort scratch for ReadStreamSharded (stream.go).
 	shardBuf []uint64
 	shardOff []int32
 }
 
-// materializeAll backs every not-yet-materialized cache with a slab carved
-// from one contiguous arena, madvised toward 2 MB pages. A simulated access
-// touches two or three random sets across megabytes of slab; on 4 KB pages
-// each touch costs a dTLB miss whose page walk serializes the whole stream,
-// so pooling the slabs into a huge-page arena is worth more than any
-// micro-optimization of the probe loops. Caches that already materialized
-// standalone (via Cache.Insert) keep their slabs and their state.
+// materializeAll backs every cache with a slab carved from one contiguous
+// arena, madvised toward 2 MB pages, and records the flat LLC view. It is the
+// only way a hierarchy's caches get slabs. A simulated access touches two or
+// three random sets across megabytes of slab; on 4 KB pages each touch costs
+// a dTLB miss whose page walk serializes the whole stream, so pooling the
+// slabs into a huge-page arena is worth more than any micro-optimization of
+// the probe loops.
 func (h *Hierarchy) materializeAll() {
 	if h.arena != nil {
 		return
 	}
-	fresh := true // every cache carved from this arena (kernel + snapshot precondition)
+	all := h.all()
 	total := 0
-	for _, c := range h.all() {
-		if c.words == nil {
-			total += c.setCount*c.ways + 2*c.setCount // words + fingerprints + orders
-		} else {
-			fresh = false
-		}
+	for _, c := range all {
+		total += c.setCount*c.ways + 2*c.setCount // words + fingerprints + orders
 	}
-	h.fresh = fresh
 	h.arena = make([]uint64, total)
 	adviseHugePages(h.arena)
 	off := 0
@@ -110,25 +106,23 @@ func (h *Hierarchy) materializeAll() {
 		return s
 	}
 	// Carve in two passes — all words, then all sidecars, each in all()
-	// order — so that each slice-level array is contiguous across slices.
-	// buildKernel relies on that slice-major layout for its flat LLC views.
-	for _, c := range h.all() {
-		if c.words != nil {
-			continue
-		}
+	// order — so that each slice-level array is contiguous across slices:
+	// the LLC slices come first, so their words and their sidecars each
+	// form one slice-major run.
+	for _, c := range all {
 		c.words = carve(c.setCount * c.ways)
 	}
-	for _, c := range h.all() {
-		if c.meta == nil {
-			c.meta = carve(2 * c.setCount)
-			for i := 1; i < len(c.meta); i += 2 {
-				c.meta[i] = identityOrder
-			}
+	metaStart := off
+	for _, c := range all {
+		c.meta = carve(2 * c.setCount)
+		for i := 1; i < len(c.meta); i += 2 {
+			c.meta[i] = identityOrder
 		}
 	}
-	if fresh {
-		h.buildKernel()
-	}
+	s0, n := h.slices[0], len(h.slices)
+	h.llcWords = h.arena[:n*s0.setCount*s0.ways]
+	h.llcMeta = h.arena[metaStart : metaStart+n*2*s0.setCount]
+	h.llcSets, h.llcWays, h.llcShift, h.llcLru = s0.setCount, s0.ways, s0.shift, s0.lruShift
 }
 
 // all yields every cache in the hierarchy, LLC slices first (they are the
@@ -158,15 +152,9 @@ func NewHierarchy(cfg HierConfig) *Hierarchy {
 // Config returns the hierarchy's configuration.
 func (h *Hierarchy) Config() HierConfig { return h.cfg }
 
-// NodeOf returns the SNC node of a core.
-func (h *Hierarchy) NodeOf(core int) int {
-	perNode := h.cfg.Cores / h.cfg.SNCNodes
-	return core / perNode
-}
-
 // sliceRoute is the hoisted slice-routing decision for one Home: the probe
-// loops resolve it once per stream instead of once per access. slice() maps
-// a line's hash into [base, base+count) — with a mask when count is a power
+// loop resolves it once per stream instead of once per access. sliceHash
+// maps a line's hash into [base, base+count) — with a mask when count is a power
 // of two (it always is on the modeled SPR part), a modulo otherwise.
 type sliceRoute struct {
 	base  int
@@ -197,23 +185,13 @@ func (h *Hierarchy) routeFor(home Home) sliceRoute {
 	return r
 }
 
-// slice routes a line (addr/LineBytes) to its LLC slice index.
-func (r sliceRoute) slice(line uint64) int {
-	return r.sliceHash(line * 0x9e3779b97f4a7c15)
-}
-
-// sliceHash routes an already-hashed line, so callers that share the hash
-// with the set-index computation multiply only once.
+// sliceHash routes a hashed line (addr/LineBytes*fibMul) to its LLC slice
+// index; callers share the hash with the set-index computation.
 func (r sliceRoute) sliceHash(hash uint64) int {
 	if r.mask != 0 {
 		return r.base + int(hash&r.mask)
 	}
 	return r.base + int(hash%r.count)
-}
-
-// sliceFor routes an address with the given home to its LLC slice.
-func (h *Hierarchy) sliceFor(addr uint64, home Home) int {
-	return h.routeFor(home).slice(addr / LineBytes)
 }
 
 // EffectiveLLCBytes returns the LLC capacity visible to lines with the given
@@ -254,47 +232,19 @@ func (h *Hierarchy) EffectiveLLCLines(home Home) int64 {
 	return total / int64(h.cfg.SNCNodes)
 }
 
-// Access performs one load or store by core to addr (a byte address) whose
-// page is homed as given. It returns the level that satisfied the access.
-//
-// The flow models a non-inclusive hierarchy with the LLC as an L2 victim
-// cache: fills from memory go to L1+L2; L2 victims are written to the routed
-// LLC slice; LLC hits promote the line back into the core's L1/L2 and remove
-// it from the LLC. The LLC step is a single combined probe-and-remove — a
-// victim hit touches its set exactly once instead of the historical
-// Lookup/Invalidate/Insert triple scan.
-func (h *Hierarchy) Access(core int, addr uint64, home Home, write bool) Level {
-	if core < 0 || core >= h.cfg.Cores {
-		panic(fmt.Sprintf("cache: core %d out of range", core))
-	}
-	if h.l1[core].Lookup(addr, write) {
-		return L1
-	}
-	if h.l2[core].Lookup(addr, write) {
-		h.fillL1(core, addr, home, write)
-		return L2
-	}
-	slice := h.slices[h.sliceFor(addr, home)]
-	if found, dirty := slice.ProbeRemove(addr); found {
-		// Victim-cache hit: promote to the core's private levels.
-		h.LLCHits++
-		h.fillPrivate(core, addr, home, write || dirty)
-		return LLC
-	}
-	h.LLCMisses++
-	h.fillPrivate(core, addr, home, write)
-	return Memory
-}
-
 // homeBitsMask selects a word's home (kind + node) bits.
 const homeBitsMask = remoteFlag | uint64(MaxHomeNode)<<nodeShift
 
 // ReadStream performs one read access per address in addrs, all issued by
 // core against pages homed the same way, and accumulates into counts the
-// level that satisfied each access. It is behaviorally identical to calling
-// Access(core, addr, home, false) per address (TestReadStreamMatchesAccess
-// pins this), but the whole L1→L2→LLC probe/fill/spill chain is fused into
-// one loop body working directly on the packed slabs:
+// level that satisfied each access. The flow models a non-inclusive
+// hierarchy with the LLC as an L2 victim cache: fills from memory go to
+// L1+L2, L2 victims spill to their routed LLC slice, and LLC hits promote
+// the line back into the core's L1/L2 and remove it from the LLC. It is
+// behaviorally identical to the one-access-at-a-time reference in
+// oracle_test.go (TestReadStreamMatchesAccess pins this), but the whole
+// L1→L2→LLC probe/fill/spill chain is fused into one loop body working
+// directly on the packed slabs:
 //
 //   - the line hash is computed once and shared by the set indices, the
 //     slice route and the fingerprint nibble (they consume different bit
@@ -311,29 +261,4 @@ func (h *Hierarchy) ReadStream(core int, addrs []uint64, home Home, counts *Leve
 	st := newStreamCounters(len(h.slices))
 	h.streamInto(core, addrs, h.routeFor(home), packWord(0, home, false), st)
 	h.flushStream(core, st, counts)
-}
-
-// fillPrivate installs a line into the core's L1 and L2, spilling the L2
-// victim into its routed LLC slice.
-func (h *Hierarchy) fillPrivate(core int, addr uint64, home Home, dirty bool) {
-	h.fillL1(core, addr, home, dirty)
-	if v, ok := h.l2[core].Insert(addr, home, dirty); ok {
-		// L2 victim spills to the LLC slice chosen by its own home.
-		h.slices[h.sliceFor(v.Addr, v.Home)].Insert(v.Addr, v.Home, v.Dirty)
-	}
-}
-
-func (h *Hierarchy) fillL1(core int, addr uint64, home Home, dirty bool) {
-	// L1 victims are silently dropped: L2 is modeled as inclusive of L1.
-	h.l1[core].Insert(addr, home, dirty)
-}
-
-// SliceOccupancy returns the number of valid lines in each LLC slice
-// (diagnostics for the SNC-isolation tests).
-func (h *Hierarchy) SliceOccupancy() []int {
-	out := make([]int, len(h.slices))
-	for i, s := range h.slices {
-		out[i] = s.Occupancy()
-	}
-	return out
 }

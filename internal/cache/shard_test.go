@@ -17,8 +17,41 @@ func shrunkConfig(snc int) HierConfig {
 	return cfg
 }
 
+// streamCase is one hierarchy shape and stream home the equivalence tests
+// replay. wantMask pins the stream route's slice mask, so the case keeps
+// covering the route branch it was added for.
+type streamCase struct {
+	name     string
+	cfg      HierConfig
+	home     Home
+	wantMask uint64
+}
+
+// streamCases covers both SNC modes and homes on the power-of-two SPR shape,
+// plus a 24-core SNC-3 hierarchy whose socket-wide remote route spans 24
+// slices: mask 0, so the stream loop routes by hash % count.
+func streamCases() []streamCase {
+	mod := shrunkConfig(3)
+	mod.Cores = 24
+	return []streamCase{
+		{"snc4-local", shrunkConfig(4), Home{Kind: HomeLocalDDR, Node: 0}, 7},
+		{"snc4-remote", shrunkConfig(4), Home{Kind: HomeRemote, Node: 1}, 31},
+		{"snc1-local", shrunkConfig(1), Home{Kind: HomeLocalDDR, Node: 0}, 31},
+		{"snc3-24core-remote", mod, Home{Kind: HomeRemote, Node: 1}, 0},
+	}
+}
+
+// checkRoute fails the test when the case's stream route lost the mask it
+// was chosen for.
+func (tc streamCase) checkRoute(t *testing.T, h *Hierarchy) {
+	t.Helper()
+	if got := h.routeFor(tc.home).mask; got != tc.wantMask {
+		t.Fatalf("route mask = %#x, want %#x", got, tc.wantMask)
+	}
+}
+
 // seedHierarchy replays identical cross-core traffic — writes (dirty lines)
-// and a foreign home included — into a hierarchy through the scalar path.
+// and a foreign home included — into a hierarchy through the scalar oracle.
 func seedHierarchy(h *Hierarchy) {
 	seed := sim.NewRng(11)
 	for i := 0; i < 2000; i++ {
@@ -63,18 +96,9 @@ func requireHierEqual(t *testing.T, want, got *Hierarchy) {
 // bit-identical to the serial ReadStream and reports the same histogram —
 // the determinism the exact-fidelity golden corpus rides on.
 func TestReadStreamShardedMatchesSerial(t *testing.T) {
-	cases := []struct {
-		name string
-		snc  int
-		home Home
-	}{
-		{"snc4-local", 4, Home{Kind: HomeLocalDDR, Node: 0}},
-		{"snc4-remote", 4, Home{Kind: HomeRemote, Node: 1}},
-		{"snc1-local", 1, Home{Kind: HomeLocalDDR, Node: 0}},
-	}
-	for _, tc := range cases {
+	for _, tc := range streamCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := shrunkConfig(tc.snc)
+			cfg := tc.cfg
 			rng := sim.NewRng(7)
 			addrs := make([]uint64, 40000)
 			for i := range addrs {
@@ -82,6 +106,7 @@ func TestReadStreamShardedMatchesSerial(t *testing.T) {
 			}
 
 			ref := NewHierarchy(cfg)
+			tc.checkRoute(t, ref)
 			seedHierarchy(ref)
 			var want LevelCounts
 			ref.ReadStream(2, addrs, tc.home, &want)

@@ -61,21 +61,20 @@ func newStreamCounters(slices int) *streamCounters {
 }
 
 // streamInto is the fused L1→L2→LLC probe/fill/spill loop shared by
-// ReadStream and the sharded driver. All statistics go to st; cache state
-// (slabs, fingerprints, order words) is mutated directly. Callers guarantee
-// the hierarchy is materialized and that concurrent calls touch disjoint
-// sets. When the hierarchy carries a monomorphized kernel and the route is
-// mask-based, the specialized loop (kernel.go) runs instead; the two are
-// access-for-access identical (TestStreamFusedMatchesGeneric pins it).
+// ReadStream and the sharded driver — the hierarchy's only address-stream
+// loop. All statistics go to st; cache state (slabs, fingerprints, order
+// words) is mutated directly. Callers guarantee the hierarchy is
+// materialized and that concurrent calls touch disjoint sets. Every helper
+// (findIn, fillSlot, clearSlot, ordPromote and the order-word primitives
+// beneath them) inlines, and the LLC is addressed through the flat
+// slice-major view materializeAll records, so slice geometry stays in
+// registers.
 func (h *Hierarchy) streamInto(core int, addrs []uint64, rt sliceRoute, homeBits uint64, st *streamCounters) {
-	if h.kern != nil && rt.mask != 0 {
-		h.streamFused(core, addrs, rt, homeBits, st)
-		return
-	}
 	l1, l2 := h.l1[core], h.l2[core]
-	slices := h.slices
 	l1w, l1m, l1ways, l1shift, l1lru := l1.words, l1.meta, l1.ways, l1.shift, l1.lruShift
 	l2w, l2m, l2ways, l2shift, l2lru := l2.words, l2.meta, l2.ways, l2.shift, l2.lruShift
+	llcW, llcM := h.llcWords, h.llcMeta
+	llcSets, llcWays, llcShift, llcLru := h.llcSets, h.llcWays, h.llcShift, h.llcLru
 	var l1Hit, l1Miss, l1Evict, l2Hit, l2Miss, l2Evict uint64
 	var nL1, nL2, nLLC, nMem uint64
 	for _, addr := range addrs {
@@ -117,16 +116,15 @@ func (h *Hierarchy) streamInto(core int, addrs []uint64, rt sliceRoute, homeBits
 		// LLC probe: the combined probe-promote-evict step. A victim-cache
 		// hit removes the line (it is promoted into L1/L2 below, carrying
 		// its dirty bit); a miss fills from memory and never reads the
-		// slice's tag words.
+		// slice's tag words. One multiply-add resolves the flat set.
 		si := rt.sliceHash(hash)
-		sc := slices[si]
-		s3 := int(hash >> sc.shift)
-		b3 := s3 * sc.ways
-		set3 := sc.words[b3 : b3+sc.ways]
+		g3 := si*llcSets + int(hash>>llcShift)
+		b3 := g3 * llcWays
+		set3 := llcW[b3 : b3+llcWays]
 		var dirtyBit uint64
-		if i := findIn(set3, sc.meta[2*s3], rep, ptag); i >= 0 {
+		if i := findIn(set3, llcM[2*g3], rep, ptag); i >= 0 {
 			dirtyBit = set3[i] & dirtyFlag
-			clearSlot(set3, sc.meta, s3, i, sc.lruShift)
+			clearSlot(set3, llcM, g3, i, llcLru)
 			st.sliceHits[si]++
 			nLLC++
 		} else {
@@ -154,21 +152,20 @@ func (h *Hierarchy) streamInto(core int, addrs []uint64, rt sliceRoute, homeBits
 			// its routing is already resolved.
 			vi = rt.sliceHash(vhash)
 		} else {
-			vi = h.sliceFor(vline*LineBytes, unpackHome(victim))
+			vi = h.routeFor(unpackHome(victim)).sliceHash(vhash)
 		}
-		vc := slices[vi]
-		vs := int(vhash >> vc.shift)
-		vb := vs * vc.ways
-		vset := vc.words[vb : vb+vc.ways]
-		// Spill with full Insert semantics: another core's copy of the line
-		// may already sit in the slice, in which case it is refreshed with
-		// the dirty bits merged and the resident home preserved.
-		if vp := findIn(vset, vc.meta[2*vs], vrep, vline+1); vp >= 0 {
-			vc.meta[2*vs+1] = ordPromote(vc.meta[2*vs+1], vp)
+		vg := vi*llcSets + int(vhash>>llcShift)
+		vb := vg * llcWays
+		vset := llcW[vb : vb+llcWays]
+		// Spill with full insert semantics: another core's copy of the line
+		// may already sit in the slice, in which case it is promoted to MRU
+		// with the dirty bits merged and the resident home preserved.
+		if vp := findIn(vset, llcM[2*vg], vrep, vline+1); vp >= 0 {
+			llcM[2*vg+1] = ordPromote(llcM[2*vg+1], vp)
 			vset[vp] |= victim & dirtyFlag
 			continue
 		}
-		if fillSlot(vset, vc.meta, vs, victim, vnib, vc.lruShift) != 0 {
+		if fillSlot(vset, llcM, vg, victim, vnib, llcLru) != 0 {
 			st.sliceEvicts[vi]++
 		}
 	}

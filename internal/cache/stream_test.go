@@ -6,45 +6,19 @@ import (
 	"cxlmem/internal/sim"
 )
 
-// TestReadStreamMatchesAccess pins the fused kernel's core contract: for any
-// address stream, ReadStream leaves the hierarchy in exactly the state a
-// scalar Access loop would, and reports the same per-level counts — across
-// homes, SNC modes, and hierarchies pre-seeded with dirty lines and
-// cross-core state.
+// TestReadStreamMatchesAccess pins the stream loop's core contract: for any
+// address stream, ReadStream leaves the hierarchy in exactly the state the
+// scalar oracle's Access loop would, and reports the same per-level counts —
+// across homes, SNC modes, mask and modulo slice routes, and hierarchies
+// pre-seeded with dirty lines and cross-core state.
 func TestReadStreamMatchesAccess(t *testing.T) {
-	cases := []struct {
-		name string
-		snc  int
-		home Home
-	}{
-		{"snc4-local", 4, Home{Kind: HomeLocalDDR, Node: 0}},
-		{"snc4-remote", 4, Home{Kind: HomeRemote, Node: 1}},
-		{"snc1-local", 1, Home{Kind: HomeLocalDDR, Node: 0}},
-	}
-	for _, tc := range cases {
+	for _, tc := range streamCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := SPRHierConfig(tc.snc)
-			// Shrink the hierarchy so a short stream exercises every path
-			// (L1/L2/LLC hits, misses, evictions, victim promotions).
-			cfg.L1Bytes, cfg.L1Ways = 2<<10, 4
-			cfg.L2Bytes, cfg.L2Ways = 16<<10, 8
-			cfg.LLCSliceBytes, cfg.LLCWays = 8<<10, 8
-
-			ha := NewHierarchy(cfg)
-			hb := NewHierarchy(cfg)
-
-			// Pre-seed both with identical cross-core traffic, including
-			// writes (dirty lines) and a different home, through the scalar
-			// path.
-			seed := sim.NewRng(11)
-			for i := 0; i < 2000; i++ {
-				addr := uint64(seed.Intn(1<<14)) * LineBytes
-				core := seed.Intn(4)
-				write := seed.Intn(3) == 0
-				other := Home{Kind: HomeRemote, Node: 0}
-				ha.Access(core, addr, other, write)
-				hb.Access(core, addr, other, write)
-			}
+			ha := NewHierarchy(tc.cfg)
+			hb := NewHierarchy(tc.cfg)
+			tc.checkRoute(t, ha)
+			seedHierarchy(ha)
+			seedHierarchy(hb)
 
 			rng := sim.NewRng(7)
 			addrs := make([]uint64, 5000)
@@ -62,18 +36,9 @@ func TestReadStreamMatchesAccess(t *testing.T) {
 			if got != want {
 				t.Fatalf("level counts diverge: ReadStream %v vs Access %v", got, want)
 			}
-			if ha.LLCHits != hb.LLCHits || ha.LLCMisses != hb.LLCMisses {
-				t.Fatalf("LLC counters diverge: %d/%d vs %d/%d",
-					hb.LLCHits, hb.LLCMisses, ha.LLCHits, ha.LLCMisses)
-			}
-			occA, occB := ha.SliceOccupancy(), hb.SliceOccupancy()
-			for i := range occA {
-				if occA[i] != occB[i] {
-					t.Fatalf("slice %d occupancy diverges: %d vs %d", i, occB[i], occA[i])
-				}
-			}
-			// The post-state must be identical too: replay a fresh probe
-			// stream through both and compare outcomes level by level.
+			requireHierEqual(t, ha, hb)
+			// The post-state must behave identically too: replay a fresh
+			// probe stream through both and compare outcomes level by level.
 			probe := sim.NewRng(13)
 			for i := 0; i < 3000; i++ {
 				a := uint64(probe.Intn(1<<14)) * LineBytes

@@ -41,10 +41,6 @@ const DefaultWarmStateEntries = 4
 var (
 	warmStates    = memo.NewCacheWith(memo.CacheConfig{MaxEntries: DefaultWarmStateEntries})
 	warmStatesOff atomic.Bool
-
-	// errWarmStateUnavailable marks a warmup whose hierarchy could not be
-	// snapshotted (slabs not arena-complete); callers warm inline instead.
-	errWarmStateUnavailable = errors.New("mlc: hierarchy state is not snapshotable")
 )
 
 // ConfigureWarmStates resizes the warm-state cache's entry budget: positive
@@ -109,22 +105,15 @@ func warmBuffer(ctx context.Context, hier *cache.Hierarchy, home cache.Home, lin
 			if err := runWarmup(cctx, h, home, lines, r, o.Workers); err != nil {
 				return nil, err
 			}
-			snap, ok := h.Capture()
-			if !ok {
-				return nil, errWarmStateUnavailable
-			}
+			snap, _ := h.Capture() // always complete: every slab lives in the arena
 			return &warmState{snap: snap, rng: r.State()}, nil
 		})
 		if err == nil {
-			if ws, ok := v.(*warmState); ok {
-				if warmedHere {
-					// The warmup above ran on this very hierarchy: it is
-					// already in the snapshot's state.
-					return sim.NewRng(ws.rng)
-				}
-				if hier.Restore(ws.snap) {
-					return sim.NewRng(ws.rng)
-				}
+			ws := v.(*warmState)
+			// A warmup that ran on this very hierarchy left it in the
+			// snapshot's state already.
+			if warmedHere || hier.Restore(ws.snap) {
+				return sim.NewRng(ws.rng)
 			}
 		}
 		if canceled(err) || warmedHere {
@@ -133,9 +122,6 @@ func warmBuffer(ctx context.Context, hier *cache.Hierarchy, home cache.Home, lin
 			// to a second inline warmup — unreachable in practice (the
 			// closure only fails on cancellation), but fail loudly rather
 			// than corrupt the measurement.
-			if err == nil {
-				err = errWarmStateUnavailable
-			}
 			panic(err)
 		}
 		// This hierarchy was never touched (the closure ran elsewhere or not

@@ -146,9 +146,11 @@ func TestHomeNodeLimitAtBuildTime(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SNC-%d should build (max node exactly at the packed limit): %v", sp.SNCNodes, err)
 	}
-	// Routing a line homed on the highest node must not panic.
+	// Routing a line homed on the highest node must not panic: the stream
+	// packs the home into its tag words through the production packWord.
 	home := s.HomeFor(s.Path("CXL-A"), cache.MaxHomeNode)
-	s.Hier.Access(s.Hier.Config().Cores-1, 0x1000, home, false)
+	var counts cache.LevelCounts
+	s.Hier.ReadStream(s.Hier.Config().Cores-1, []uint64{0x1000}, home, &counts)
 }
 
 // TestBuildPlatformsAllBuildable builds every registered platform and sanity
@@ -238,8 +240,9 @@ func TestBuildPlatformFreshSystems(t *testing.T) {
 		t.Fatal(err)
 	}
 	home := a.HomeFor(a.Path("CXL-A"), 0)
+	var counts cache.LevelCounts
 	for addr := uint64(0); addr < 1<<16; addr += 64 {
-		a.Hier.Access(0, addr, home, false)
+		a.Hier.ReadStream(0, []uint64{addr}, home, &counts)
 	}
 	if got := b.Hier.LLCMisses; got != 0 {
 		t.Errorf("second system saw %d LLC misses without running anything", got)
