@@ -1,4 +1,6 @@
-// Bounded, hotness-aware memoization (DESIGN.md §11).
+// Package memo is the shared memoization cache (DESIGN.md §11): bounded,
+// hotness-aware and single-flight. The experiment layer's dataset and cell
+// caches and internal/mlc's warm-state cache are all instances of it.
 //
 // Cache memoizes expensive measurement results by canonical key with
 // single-flight semantics: concurrent callers of Do/DoCtx with the same key
@@ -6,9 +8,9 @@
 // the same scenario appearing in matrix-apps and matrix-policy, or a re-run
 // under a different worker count — are free after the first evaluation.
 //
-// Unlike the PR-5 prototype, a Cache can be *bounded*: every entry carries
-// hit recency (its position on an LRU list) and a hit-frequency counter, and
-// when a configured entry budget is exceeded the cache evicts cold-first —
+// A Cache can be bounded: every entry carries hit recency (its position on
+// an LRU list) and a hit-frequency counter, and when a configured entry
+// budget is exceeded the cache evicts cold-first —
 // candidates are sampled from the recency tail and the least-frequently-hit
 // one is dropped, so a hot key that momentarily slid down the list survives
 // a churning scan of one-shot keys. Scanned-but-spared candidates have their

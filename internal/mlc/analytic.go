@@ -10,7 +10,7 @@ import (
 
 // Analytic buffer-latency fast path (DESIGN.md §12).
 //
-// Far from a capacity knee, BufferLatency's answer is fully determined by
+// Far from a capacity knee, BufferLatencyOpt's answer is fully determined by
 // which levels the buffer fits in: a 32 MB uniform-random working set either
 // fits the effective LLC or it doesn't, and the per-level hit fractions
 // follow from the CHE working-set model in internal/cache/che.go without
@@ -54,7 +54,7 @@ func bufferLevelFractions(hier *cache.Hierarchy, home cache.Home, bufBytes int64
 	return frac
 }
 
-// BufferLatencyEstimate is the analytic counterpart of BufferLatency: the
+// BufferLatencyEstimate is the analytic counterpart of BufferLatencyOpt: the
 // CHE level fractions weighted by the same per-level hit latencies the
 // simulated loop charges. It costs microseconds instead of a warmed
 // multi-million-access replay, and is accurate away from capacity knees

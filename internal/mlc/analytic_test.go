@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"cxlmem/internal/mem"
 	"cxlmem/internal/topo"
 )
 
@@ -30,21 +29,6 @@ func TestBufferLatencyWorkersInvariant(t *testing.T) {
 	}
 }
 
-// TestIdleLatencyWorkersMatchSerial pins the chase's worker-count
-// invariance: with a buffer twice the LLC and fewer steps than lines every
-// access is a compulsory miss, so at any worker count the measured latency
-// is exactly the serial path latency.
-func TestIdleLatencyWorkersMatchSerial(t *testing.T) {
-	for _, workers := range []int{0, 1, 3, 4} {
-		sys := topo.NewSystem(topo.MicrobenchConfig())
-		p := sys.Path("CXL-A")
-		got := IdleLatencyOpt(sys, p, 20000, 1, StreamOptions{Workers: workers})
-		if want := p.SerialLatency(mem.Load); got != want {
-			t.Errorf("workers=%d: latency %v, want exactly serial %v", workers, got, want)
-		}
-	}
-}
-
 // TestBufferLatencyEstimateTracksExact is the divergence property test the
 // auto fidelity tier rests on: wherever BufferKneeDistance clears KneeMargin
 // the analytic estimate must stay within 10% of exact simulation, and well
@@ -65,7 +49,7 @@ func TestBufferLatencyEstimateTracksExact(t *testing.T) {
 		sys := topo.NewSystem(topo.DefaultConfig())
 		p := sys.Path(tc.name)
 		dist := BufferKneeDistance(sys, p, tc.buf)
-		exact := BufferLatency(sys, p, tc.buf, 50000, 3).Nanoseconds()
+		exact := BufferLatencyOpt(sys, p, tc.buf, 50000, 3, StreamOptions{}).Nanoseconds()
 		est := BufferLatencyEstimate(sys, p, tc.buf).Nanoseconds()
 		rel := math.Abs(est-exact) / exact
 		t.Logf("%s %d MB: exact %.1f ns, estimate %.1f ns (%.1f%% off, knee distance %.2f)",

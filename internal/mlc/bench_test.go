@@ -17,7 +17,7 @@ func benchBuffer(b *testing.B, device string) {
 	var sink float64
 	for i := 0; i < b.N; i++ {
 		sys := topo.NewSystem(topo.DefaultConfig())
-		sink += BufferLatency(sys, sys.Path(device), 32<<20, 20000, 3).Nanoseconds()
+		sink += BufferLatencyOpt(sys, sys.Path(device), 32<<20, 20000, 3, StreamOptions{}).Nanoseconds()
 	}
 	if sink == 0 {
 		b.Fatal("zero latency")
@@ -26,17 +26,3 @@ func benchBuffer(b *testing.B, device string) {
 
 func BenchmarkBufferLatencyDDR(b *testing.B) { benchBuffer(b, "DDR5-L") }
 func BenchmarkBufferLatencyCXL(b *testing.B) { benchBuffer(b, "CXL-A") }
-
-// BenchmarkIdleLatency measures the pointer-chase loop, permutation build
-// included (it is part of every real call).
-func BenchmarkIdleLatency(b *testing.B) {
-	b.ReportAllocs()
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		sys := topo.NewSystem(topo.MicrobenchConfig())
-		sink += IdleLatency(sys, sys.Path("CXL-A"), 20000, 1).Nanoseconds()
-	}
-	if sink == 0 {
-		b.Fatal("zero latency")
-	}
-}

@@ -3,7 +3,9 @@
 //
 //   - idle latency: a pointer chase — each load's address depends on the
 //     previous load's value, so accesses are fully serialized — over a buffer
-//     larger than the total LLC, forcing every access to memory;
+//     larger than the total LLC, forcing every access to memory. Every
+//     access then pays Path.SerialLatency, which fig3 uses directly; the
+//     chase itself is the test oracle that pins it (chase_test.go);
 //   - loaded bandwidth: all cores issue sequential streams at a given
 //     read:write ratio, measuring the delivered fraction of the device's
 //     theoretical peak (the paper's "bandwidth efficiency" metric, Fig. 4a);
@@ -47,7 +49,7 @@ type StreamOptions struct {
 	// Workers bounds the sharded stream engine's concurrent shard workers;
 	// 0 uses every available CPU.
 	Workers int
-	// Ctx bounds BufferLatency's warmup and measurement streams: it is
+	// Ctx bounds BufferLatencyOpt's warmup and measurement streams: it is
 	// checked between address chunks, and a cancellation unwinds as a panic carrying Ctx's error
 	// (the sweep engine's convention — experiments.recoverAsErr restores
 	// it). A canceled warmup is never retained by the warm-state cache.
@@ -74,69 +76,10 @@ func streamTotal(path *topo.Path, counts *cache.LevelCounts) sim.Time {
 	return total
 }
 
-// IdleLatency measures the serialized (pointer-chase) load latency to the
-// device behind path. The chase follows a shuffled single-cycle permutation
-// (Sattolo's algorithm, deterministic from seed) over a buffer twice the
-// LLC: each load's address is the pointer the previous load returned —
-// MLC's shuffled-pointer buffer — so in steady state essentially every
-// access misses the hierarchy and pays the full serial path latency.
-func IdleLatency(sys *topo.System, path *topo.Path, steps int, seed uint64) sim.Time {
-	return IdleLatencyOpt(sys, path, steps, seed, StreamOptions{})
-}
-
-// IdleLatencyOpt is IdleLatency with explicit StreamOptions. The chase is
-// fully dependent, but its address sequence is fixed by the permutation, so
-// it is generated ahead in chunks and batched through the sharded engine.
-func IdleLatencyOpt(sys *topo.System, path *topo.Path, steps int, seed uint64, o StreamOptions) sim.Time {
-	if steps <= 0 {
-		panic("mlc: non-positive step count")
-	}
-	hier := sys.Hier
-	home := sys.HomeFor(path, 0)
-	bufBytes := int64(2) * int64(hier.Config().Cores) * hier.Config().LLCSliceBytes
-	lines := int(bufBytes / cache.LineBytes)
-
-	// Build the chase: next[i] is the line the load of line i points at.
-	// The whole buffer is shuffled into a single cycle (Sattolo), so the
-	// chase can never trap itself in a short cache-resident loop.
-	rng := sim.NewRng(seed)
-	next := make([]uint32, lines)
-	for i := range next {
-		next[i] = uint32(i)
-	}
-	for i := lines - 1; i > 0; i-- {
-		j := rng.Intn(i)
-		next[i], next[j] = next[j], next[i]
-	}
-
-	var counts cache.LevelCounts
-	chunk := make([]uint64, min(steps, chunkLines))
-	var cur uint32
-	for remaining := steps; remaining > 0; {
-		n := min(remaining, chunkLines)
-		b := chunk[:n]
-		for i := range b {
-			b[i] = uint64(cur) * cache.LineBytes
-			cur = next[cur]
-		}
-		hier.ReadStreamSharded(0, b, home, &counts, o.Workers)
-		remaining -= n
-	}
-	return streamTotal(path, &counts) / sim.Time(steps)
-}
-
-// warmPasses is the fixed warmup length: BufferLatency streams this many
+// warmPasses is the fixed warmup length: BufferLatencyOpt streams this many
 // buffers' worth of random touches before sampling. The golden corpus pins
 // this one definition of steady state.
 const warmPasses = 6
-
-// BufferLatency measures the average latency of random accesses within a
-// buffer of bufBytes homed on path's device — the §4.3 experiment: a 32 MB
-// buffer fits the socket-wide LLC when homed on CXL memory but overflows a
-// single SNC node's slices when homed on local DDR.
-func BufferLatency(sys *topo.System, path *topo.Path, bufBytes int64, samples int, seed uint64) sim.Time {
-	return BufferLatencyOpt(sys, path, bufBytes, samples, seed, StreamOptions{})
-}
 
 // runWarmup brings hier to the buffer measurement's steady state with
 // warmPasses buffers' worth of random touches, drawing the warmup stream
@@ -169,8 +112,11 @@ func streamRandom(ctx context.Context, hier *cache.Hierarchy, home cache.Home, l
 	return nil
 }
 
-// BufferLatencyOpt is BufferLatency with explicit StreamOptions. Random
-// accesses are already independent of each other, so the whole warmup and
+// BufferLatencyOpt measures the average latency of random accesses within a
+// buffer of bufBytes homed on path's device — the §4.3 experiment: a 32 MB
+// buffer fits the socket-wide LLC when homed on CXL memory but overflows a
+// single SNC node's slices when homed on local DDR. Random accesses are
+// independent of each other, so the whole warmup and
 // measurement stream is generated ahead of the simulation in large chunks
 // and driven through the sharded engine. The warmup goes through the
 // warm-state snapshot cache (warmstate.go) when the hierarchy is pristine:

@@ -8,38 +8,6 @@ import (
 	"cxlmem/internal/topo"
 )
 
-func TestIdleLatencyApproachesSerialPath(t *testing.T) {
-	for _, name := range []string{"DDR5-L", "DDR5-R", "CXL-A", "CXL-B", "CXL-C"} {
-		// Fresh system per device: a shared hierarchy would replay the same
-		// pseudo-random address sequence into warm caches.
-		sys := topo.NewSystem(topo.MicrobenchConfig())
-		p := sys.Path(name)
-		got := IdleLatency(sys, p, 20000, 1).Nanoseconds()
-		want := p.SerialLatency(mem.Load).Nanoseconds()
-		// A large random buffer still hits caches occasionally; the
-		// average should be within 15% of the pure memory latency and
-		// never exceed it.
-		if got > want || got < 0.85*want {
-			t.Errorf("%s: idle latency %.1f ns vs serial %.1f ns", p.Name, got, want)
-		}
-	}
-}
-
-func TestIdleLatencyOrderingMatchesFig3(t *testing.T) {
-	measure := func(name string) float64 {
-		sys := topo.NewSystem(topo.MicrobenchConfig())
-		return IdleLatency(sys, sys.Path(name), 10000, 2).Nanoseconds()
-	}
-	l := measure("DDR5-L")
-	r := measure("DDR5-R")
-	a := measure("CXL-A")
-	b := measure("CXL-B")
-	c := measure("CXL-C")
-	if !(l < r && r < a && a < b && b < c) {
-		t.Errorf("MLC ordering broken: L=%v R=%v A=%v B=%v C=%v", l, r, a, b, c)
-	}
-}
-
 // TestFig5BufferLatency reproduces §4.3's headline numbers: in SNC mode a
 // 32 MB random buffer averages ~41 ns from CXL-A (fits the 60 MB socket LLC)
 // vs ~76.8 ns from local DDR (overflows the 15 MB node slices).
@@ -48,9 +16,9 @@ func TestFig5BufferLatency(t *testing.T) {
 	const buf = 32 << 20
 	// Separate systems so the two runs don't share cache state.
 	sysD := topo.NewSystem(cfg)
-	ddr := BufferLatency(sysD, sysD.DDRLocal, buf, 200000, 3)
+	ddr := BufferLatencyOpt(sysD, sysD.DDRLocal, buf, 200000, 3, StreamOptions{})
 	sysC := topo.NewSystem(cfg)
-	cxl := BufferLatency(sysC, sysC.Path("CXL-A"), buf, 200000, 3)
+	cxl := BufferLatencyOpt(sysC, sysC.Path("CXL-A"), buf, 200000, 3, StreamOptions{})
 
 	if cxl.Nanoseconds() >= ddr.Nanoseconds() {
 		t.Fatalf("CXL-A buffer latency %.1f should beat DDR5-L %.1f (O6)", cxl.Nanoseconds(), ddr.Nanoseconds())
@@ -60,19 +28,6 @@ func TestFig5BufferLatency(t *testing.T) {
 	}
 	if got := ddr.Nanoseconds(); got < 62 || got > 92 {
 		t.Errorf("DDR5-L 32MB buffer latency = %.1f ns, paper ~76.8", got)
-	}
-}
-
-// TestIdleLatencyIsDependentChase pins the pointer-chase semantics: with a
-// chase buffer twice the LLC and fewer steps than buffer lines, every access
-// is a compulsory miss, so the idle latency equals the serial path latency
-// exactly — an independent-random loop would hit warm lines and fall below.
-func TestIdleLatencyIsDependentChase(t *testing.T) {
-	sys := topo.NewSystem(topo.MicrobenchConfig())
-	p := sys.Path("CXL-A")
-	got := IdleLatency(sys, p, 20000, 1)
-	if want := p.SerialLatency(mem.Load); got != want {
-		t.Errorf("chase idle latency %v, want exactly serial %v", got, want)
 	}
 }
 
@@ -112,9 +67,9 @@ func TestMixSweepCoversAllPoints(t *testing.T) {
 func TestPanics(t *testing.T) {
 	sys := topo.NewSystem(topo.MicrobenchConfig())
 	for name, fn := range map[string]func(){
-		"idle steps":  func() { IdleLatency(sys, sys.DDRLocal, 0, 1) },
-		"buf samples": func() { BufferLatency(sys, sys.DDRLocal, 1<<20, 0, 1) },
-		"buf size":    func() { BufferLatency(sys, sys.DDRLocal, 1, 10, 1) },
+		"idle steps":  func() { idleLatency(sys, sys.DDRLocal, 0, 1, 0) },
+		"buf samples": func() { BufferLatencyOpt(sys, sys.DDRLocal, 1<<20, 0, 1, StreamOptions{}) },
+		"buf size":    func() { BufferLatencyOpt(sys, sys.DDRLocal, 1, 10, 1, StreamOptions{}) },
 	} {
 		func() {
 			defer func() {

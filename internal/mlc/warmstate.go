@@ -13,7 +13,7 @@ import (
 
 // Warm-state snapshot cache (DESIGN.md §15).
 //
-// BufferLatency's warmup dominates its cost: bringing the hierarchy to
+// BufferLatencyOpt's warmup dominates its cost: bringing the hierarchy to
 // steady state streams warmPasses buffer passes of random touches —
 // millions of simulated accesses — before the first measured sample. But the
 // post-warmup state is a pure function of (hierarchy configuration, home,

@@ -15,14 +15,14 @@ func coldBuffer(cfg topo.Config, device string, bufBytes int64, samples int, see
 	ConfigureWarmStates(-1)
 	defer ConfigureWarmStates(DefaultWarmStateEntries)
 	sys := topo.NewSystem(cfg)
-	return BufferLatency(sys, sys.Path(device), bufBytes, samples, seed).Nanoseconds()
+	return BufferLatencyOpt(sys, sys.Path(device), bufBytes, samples, seed, StreamOptions{}).Nanoseconds()
 }
 
 // warmPoint measures the same operating point through the warm-state cache
 // on a fresh system.
 func warmPoint(cfg topo.Config, device string, bufBytes int64, samples int, seed uint64) float64 {
 	sys := topo.NewSystem(cfg)
-	return BufferLatency(sys, sys.Path(device), bufBytes, samples, seed).Nanoseconds()
+	return BufferLatencyOpt(sys, sys.Path(device), bufBytes, samples, seed, StreamOptions{}).Nanoseconds()
 }
 
 // TestWarmStateByteIdentical pins the warm-state cache's core contract for
@@ -83,8 +83,8 @@ func TestWarmStateSharedKey(t *testing.T) {
 	}
 
 	before := WarmStateStats()
-	a := BufferLatency(sysFig5, sysFig5.Path("CXL-A"), buf, 1000, seed).Nanoseconds()
-	b := BufferLatency(sysAbl, sysAbl.Path("CXL-A"), buf, 1000, seed).Nanoseconds()
+	a := BufferLatencyOpt(sysFig5, sysFig5.Path("CXL-A"), buf, 1000, seed, StreamOptions{}).Nanoseconds()
+	b := BufferLatencyOpt(sysAbl, sysAbl.Path("CXL-A"), buf, 1000, seed, StreamOptions{}).Nanoseconds()
 	after := WarmStateStats()
 	if a != b {
 		t.Errorf("shared-key measurements diverge: %v vs %v", a, b)

@@ -70,9 +70,10 @@ func newReplicaPair(t *testing.T) *replicaPair {
 	return &replicaPair{a: tsa, b: tsb, sa: sa, sb: sb}
 }
 
-// testCells returns a handful of matrix cells guaranteed to split across a
-// two-member ring (skipped if the hash happens to one-side them — it does
-// not for the committed corpus, and TestRingBalance pins the spread).
+// testCells returns at least n matrix cells that split across the pair's
+// two-member ring. The members are httptest URLs with random ports, so the
+// first n cells land on one replica in about 2^(1-n) of runs; the slice then
+// grows until a second owner appears (TestRingBalance pins the spread).
 func testCells(t *testing.T, p *replicaPair, n int) []workloads.Scenario {
 	t.Helper()
 	o := experiments.DefaultOptions()
@@ -85,15 +86,15 @@ func testCells(t *testing.T, p *replicaPair, n int) []workloads.Scenario {
 	if len(all) < n {
 		t.Fatalf("matrix has %d cells, want >= %d", len(all), n)
 	}
-	cells := all[:n]
 	owners := map[string]bool{}
-	for _, sc := range cells {
+	for i, sc := range all {
 		owners[ring.Owner(experiments.ScenarioKey(o, sc))] = true
+		if i+1 >= n && len(owners) >= 2 {
+			return all[:i+1]
+		}
 	}
-	if len(owners) < 2 {
-		t.Fatalf("first %d matrix cells all hash to one replica; widen the slice", n)
-	}
-	return cells
+	t.Fatalf("all %d matrix cells hash to one replica", len(all))
+	return nil
 }
 
 // metricValue extracts one counter value from a /metrics scrape.
