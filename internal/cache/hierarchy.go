@@ -64,14 +64,15 @@ type Hierarchy struct {
 	// LLCHits/LLCMisses aggregate slice-level statistics.
 	LLCHits, LLCMisses uint64
 
-	arena []uint64 // slab arena shared by every cache; nil until materializeAll
+	arena     []uint64 // slab arena shared by every cache; nil until carved, nil again after Release
+	metaStart int      // arena offset of the first sidecar word; every tag word lies below it
 
 	// llcWords/llcMeta are flat, slice-major views of every LLC slice's tag
 	// words and sidecar pairs: slice si's set s is flat set si*llcSets+s, so
 	// the stream loop resolves an LLC set with one multiply-add instead of a
 	// per-slice pointer chase. Every slice shares one geometry (NewHierarchy
-	// builds them identically), recorded once alongside. Set by
-	// materializeAll; they alias the arena the Cache structs mutate.
+	// builds them identically), recorded once alongside. Set by carve;
+	// they alias the arena the Cache structs mutate.
 	llcWords, llcMeta []uint64
 	llcSets, llcWays  int
 	llcShift, llcLru  uint
@@ -83,25 +84,60 @@ type Hierarchy struct {
 
 // materializeAll backs every cache with a slab carved from one contiguous
 // arena, madvised toward 2 MB pages, and records the flat LLC view. It is the
-// only way a hierarchy's caches get slabs. A simulated access touches two or
-// three random sets across megabytes of slab; on 4 KB pages each touch costs
-// a dTLB miss whose page walk serializes the whole stream, so pooling the
-// slabs into a huge-page arena is worth more than any micro-optimization of
-// the probe loops.
+// only way a hierarchy's caches get empty slabs. A simulated access touches
+// two or three random sets across megabytes of slab; on 4 KB pages each touch
+// costs a dTLB miss whose page walk serializes the whole stream, so pooling
+// the slabs into a huge-page arena is worth more than any micro-optimization
+// of the probe loops. A recycled arena (see Release) is reset in full, so
+// every materialized hierarchy starts from the same empty state.
 func (h *Hierarchy) materializeAll() {
 	if h.arena != nil {
 		return
 	}
-	all := h.all()
-	total := 0
-	for _, c := range all {
-		total += c.setCount*c.ways + 2*c.setCount // words + fingerprints + orders
+	arena, recycled := takeArena(h.arenaWords())
+	h.carve(arena)
+	h.reset(0, len(arena), !recycled)
+}
+
+// reset writes the empty state into arena[lo:hi]: zero tag words, zero
+// fingerprint words and identity order words (the odd words of the sidecar
+// run that starts at metaStart). A freshly allocated arena is already zero,
+// so fresh leaves zero words unwritten and their pages untouched.
+func (h *Hierarchy) reset(lo, hi int, fresh bool) {
+	if !fresh {
+		clear(h.arena[lo:hi])
 	}
-	h.arena = make([]uint64, total)
-	adviseHugePages(h.arena)
+	if lo < h.metaStart {
+		lo = h.metaStart
+	}
+	if (lo-h.metaStart)%2 == 0 {
+		lo++
+	}
+	for i := lo; i < hi; i += 2 {
+		h.arena[i] = identityOrder
+	}
+}
+
+// arenaWords is the length of the arena carve lays out: every cache's tag
+// words plus its fingerprint and order sidecar words.
+func (h *Hierarchy) arenaWords() int {
+	total := 0
+	for _, c := range h.all() {
+		total += c.setCount*c.ways + 2*c.setCount
+	}
+	return total
+}
+
+// carve backs every cache with its slab of arena (arenaWords long) and
+// records the flat LLC view; the slabs keep whatever arena holds. The carve
+// is deterministic per configuration, so equal configurations always share
+// one layout — the property snapshots rely on.
+func (h *Hierarchy) carve(arena []uint64) {
+	h.arena = arena
+	all := h.all()
 	off := 0
-	carve := func(n int) []uint64 {
-		s := h.arena[off : off+n : off+n]
+	cut := func(n int) []uint64 {
+		s := arena[off : off+n : off+n]
 		off += n
 		return s
 	}
@@ -110,18 +146,15 @@ func (h *Hierarchy) materializeAll() {
 	// the LLC slices come first, so their words and their sidecars each
 	// form one slice-major run.
 	for _, c := range all {
-		c.words = carve(c.setCount * c.ways)
+		c.words = cut(c.setCount * c.ways)
 	}
-	metaStart := off
+	h.metaStart = off
 	for _, c := range all {
-		c.meta = carve(2 * c.setCount)
-		for i := 1; i < len(c.meta); i += 2 {
-			c.meta[i] = identityOrder
-		}
+		c.meta = cut(2 * c.setCount)
 	}
 	s0, n := h.slices[0], len(h.slices)
-	h.llcWords = h.arena[:n*s0.setCount*s0.ways]
-	h.llcMeta = h.arena[metaStart : metaStart+n*2*s0.setCount]
+	h.llcWords = arena[:n*s0.setCount*s0.ways]
+	h.llcMeta = arena[h.metaStart : h.metaStart+n*2*s0.setCount]
 	h.llcSets, h.llcWays, h.llcShift, h.llcLru = s0.setCount, s0.ways, s0.shift, s0.lruShift
 }
 

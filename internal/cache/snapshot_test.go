@@ -95,3 +95,31 @@ func TestSnapshotRefusesMismatch(t *testing.T) {
 		t.Error("refused restore touched the hierarchy")
 	}
 }
+
+// TestSnapshotKeepsOnlyNonEmptyBlocks pins the sparse snapshot: a
+// node-confined single-core stream leaves the other cores' private caches
+// and the other nodes' slices empty, so the capture keeps a fraction of the
+// arena, and restoring it over a hierarchy dirty in exactly those regions
+// still reproduces the captured state.
+func TestSnapshotKeepsOnlyNonEmptyBlocks(t *testing.T) {
+	cfg := SPRHierConfig(4)
+	rng := sim.NewRng(3)
+	addrs := make([]uint64, 50000)
+	for i := range addrs {
+		addrs[i] = uint64(rng.Intn(1<<16)) * LineBytes
+	}
+	var c LevelCounts
+	ref := NewHierarchy(cfg)
+	ref.ReadStream(0, addrs, Home{Kind: HomeLocalDDR, Node: 0}, &c)
+	snap, _ := ref.Capture()
+	if arena := int64(snap.words) * 8; snap.Bytes() > arena/4 {
+		t.Errorf("snapshot keeps %d of %d arena bytes", snap.Bytes(), arena)
+	}
+
+	dirty := NewHierarchy(cfg)
+	dirty.ReadStream(cfg.Cores-1, addrs, Home{Kind: HomeRemote, Node: 3}, &c)
+	if !dirty.Restore(snap) {
+		t.Fatal("restore failed")
+	}
+	requireHierEqual(t, ref, dirty)
+}

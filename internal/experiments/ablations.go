@@ -23,11 +23,13 @@ func init() {
 
 func runAblationLLC(o Options) *results.Dataset {
 	samples := o.scale(200000)
-	// Cache-mutating measurements: a private System per sweep point.
+	// Cache-mutating measurements: a private System per sweep point, whose
+	// arena is handed on when done.
 	lats := sweepPoints(o, 2, func(i int) float64 {
 		cfg := topo.DefaultConfig()
 		cfg.CXLBreaksSNCIsolation = i == 0
 		sys := topo.NewSystem(cfg)
+		defer sys.Hier.Release()
 		return o.bufferLatencyNs(sys, sys.Path("CXL-A"), 32<<20, samples)
 	})
 	withBreak, without := lats[0], lats[1]

@@ -151,10 +151,11 @@ func runFig5(o Options) *results.Dataset {
 	const buf = 32 << 20
 	samples := o.scale(200000)
 	// Each measurement mutates its system's cache state, so every sweep
-	// point builds a private System.
+	// point builds a private System, and hands its arena on when done.
 	devices := []string{"DDR5-L", "CXL-A"}
 	lats := sweepPoints(o, len(devices), func(i int) float64 {
 		sys := topo.NewSystem(topo.DefaultConfig()) // SNC on
+		defer sys.Hier.Release()
 		return o.bufferLatencyNs(sys, sys.Path(devices[i]), buf, samples)
 	})
 	ddr, cxl := lats[0], lats[1]

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"cxlmem/internal/mem"
@@ -98,5 +99,28 @@ func TestMicrobenchFindingsAllPlatforms(t *testing.T) {
 				t.Errorf("%s/%s: st efficiency %.3f exceeds ld %.3f", name, p.Name, es, el)
 			}
 		}
+	}
+}
+
+// TestWarmFig5AllocatesNoArena pins the warm-hit cost of fig5: once a run
+// has left its warm states in the warm-state cache and its arenas on the
+// hierarchy free list, a repeat run (direct Run, dataset memo bypassed)
+// restores into recycled arenas and allocates no slab arena — a single SPR
+// arena is ~17.7 MB, so the 4 MB bound trips on the first fresh one.
+func TestWarmFig5AllocatesNoArena(t *testing.T) {
+	e, err := Get("fig5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := DefaultOptions()
+	o.Quick = true
+	e.Run(o) // priming run: warm states cached, arenas released
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	e.Run(o)
+	runtime.ReadMemStats(&after)
+	const bound = 4 << 20
+	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+		t.Errorf("warm fig5 run allocated %.2f MB, bound %.0f MB", float64(got)/(1<<20), float64(bound)/(1<<20))
 	}
 }

@@ -29,13 +29,14 @@ import (
 //
 // Keying deliberately excludes sample counts and worker counts: neither
 // shapes the warmup stream. Canceled warmups are never retained (memo drops
-// context-canceled results), and the cache only engages for hierarchies
-// that have never simulated an access — anything else warms inline, exactly
-// as before.
+// context-canceled results), and the cache only engages for pristine
+// hierarchies (never simulated, or Released since) — anything else warms
+// inline, exactly as before.
 
 // DefaultWarmStateEntries is the warm-state cache's default entry budget.
-// Each entry holds a full hierarchy snapshot (~19 MB for the SPR model), so
-// the budget is small; ConfigureWarmStates resizes or disables it.
+// Each entry holds a hierarchy snapshot: at most the SPR model's 17.7 MB
+// arena, 2.4–8.8 MB for fig5's points, whose warmups leave most blocks
+// empty. The budget is small; ConfigureWarmStates resizes or disables it.
 const DefaultWarmStateEntries = 4
 
 var (
@@ -99,6 +100,7 @@ func warmBuffer(ctx context.Context, hier *cache.Hierarchy, home cache.Home, lin
 			h := hier
 			if warmedHere {
 				h = cache.NewHierarchy(hier.Config())
+				defer h.Release()
 			}
 			warmedHere = h == hier
 			r := sim.NewRng(seed)
