@@ -334,16 +334,31 @@ type Table struct {
 // LegacyTable formats a dataset down to the legacy pre-formatted Table —
 // the lossy direction: cells become display strings.
 func LegacyTable(d *results.Dataset) *Table {
-	return &Table{ID: d.ID, Title: d.Title, Headers: d.Headers(), Rows: d.TextRows(), Notes: d.Notes}
+	rows := make([][]string, len(d.Rows))
+	for i, row := range d.Rows {
+		rows[i] = make([]string, len(row))
+		for j, c := range row {
+			rows[i][j] = c.Text()
+		}
+	}
+	return &Table{ID: d.ID, Title: d.Title, Headers: d.Headers(), Rows: rows, Notes: d.Notes}
 }
 
-// Render returns an aligned text rendering. The column-width pass is the
-// shared results.ColumnWidths helper — the same one the text emitter uses —
-// so the two renderers cannot drift.
+// Render returns an aligned text rendering through fmt's %-*s padding over
+// its own width pass (the widest header or cell per column, in bytes), the
+// reference the text emitter must match.
 func (t *Table) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== %s: %s ==\n", t.ID, t.Title)
-	widths := results.ColumnWidths(t.Headers, t.Rows)
+	widths := make([]int, len(t.Headers))
+	for i, h := range t.Headers {
+		widths[i] = len(h)
+	}
+	for _, row := range t.Rows {
+		for i, c := range row {
+			widths[i] = max(widths[i], len(c))
+		}
+	}
 	writeRow := func(cells []string) {
 		for i, c := range cells {
 			if i > 0 {

@@ -1,7 +1,8 @@
 // Package results is the structured-results core (DESIGN.md §10): every
 // experiment and scenario run produces a typed Dataset — named, unit-carrying
 // columns over numeric/string cells — instead of pre-formatted text, and a
-// pluggable emitter layer (emit.go: text, json, csv) renders it on demand.
+// pluggable emitter layer (emit.go: text, json, csv) appends its rendering
+// to a caller's buffer on demand.
 //
 // The contract that makes the refactor safe is byte-identity: the text
 // emitter reproduces the legacy table rendering exactly (the golden corpus
@@ -14,7 +15,6 @@ package results
 import (
 	"fmt"
 	"strconv"
-	"strings"
 )
 
 // Kind discriminates the value a Cell carries.
@@ -91,14 +91,35 @@ func PctPoints(points float64, prec int) Cell {
 // byte-identical to the golden corpus.
 func (c Cell) Text() string {
 	switch c.Kind {
-	case KindInt:
-		return strconv.FormatInt(c.Int, 10)
-	case KindFloat:
-		return fmt.Sprintf("%.*f", c.Prec, c.Float)
-	case KindPercent:
-		return fmt.Sprintf("%.*f%%", c.Prec, c.Float)
+	case KindInt, KindFloat, KindPercent:
+		return string(c.appendText(nil))
 	}
 	return c.Str
+}
+
+// appendText appends the cell's Text rendering to dst. Numbers render as
+// fmt's %d, %.*f and %.*f%% did.
+func (c Cell) appendText(dst []byte) []byte {
+	switch c.Kind {
+	case KindInt:
+		return strconv.AppendInt(dst, c.Int, 10)
+	case KindFloat:
+		return appendFixed(dst, c.Float, c.Prec)
+	case KindPercent:
+		return append(appendFixed(dst, c.Float, c.Prec), '%')
+	}
+	return append(dst, c.Str...)
+}
+
+// appendFixed appends v with prec decimals as fmt's %.*f does, including
+// fmt's marker (and its default of 6 decimals) for a precision outside
+// [0, 1e6].
+func appendFixed(dst []byte, v float64, prec int) []byte {
+	if prec < 0 || prec > 1e6 {
+		dst = append(dst, "%!(BADPREC)"...)
+		prec = 6
+	}
+	return strconv.AppendFloat(dst, v, 'f', prec, 64)
 }
 
 // Raw is the full-precision machine rendering used by the csv emitter:
@@ -106,12 +127,21 @@ func (c Cell) Text() string {
 // rounding.
 func (c Cell) Raw() string {
 	switch c.Kind {
-	case KindInt:
-		return strconv.FormatInt(c.Int, 10)
-	case KindFloat, KindPercent:
-		return strconv.FormatFloat(c.Float, 'g', -1, 64)
+	case KindInt, KindFloat, KindPercent:
+		return string(c.appendRaw(nil))
 	}
 	return c.Str
+}
+
+// appendRaw appends the cell's Raw rendering to dst.
+func (c Cell) appendRaw(dst []byte) []byte {
+	switch c.Kind {
+	case KindInt:
+		return strconv.AppendInt(dst, c.Int, 10)
+	case KindFloat, KindPercent:
+		return strconv.AppendFloat(dst, c.Float, 'g', -1, 64)
+	}
+	return append(dst, c.Str...)
 }
 
 // Value returns the cell's numeric value (percent cells in percent points)
@@ -200,47 +230,10 @@ func (d *Dataset) Headers() []string {
 	return out
 }
 
-// TextRows renders every cell through Cell.Text — the legacy [][]string
-// form, used by the text emitter and the emitter-equivalence property test.
-func (d *Dataset) TextRows() [][]string {
-	out := make([][]string, len(d.Rows))
-	for i, row := range d.Rows {
-		r := make([]string, len(row))
-		for j, c := range row {
-			r[j] = c.Text()
-		}
-		out[i] = r
-	}
-	return out
-}
-
 // Render returns the aligned text rendering — the text emitter's output,
 // byte-identical to the legacy Table.Render.
 func (d *Dataset) Render() string {
-	var b strings.Builder
-	if err := (textEmitter{}).Emit(&b, d); err != nil {
-		// The text emitter only fails on writer errors, and Builder never
-		// errors.
-		panic(err)
-	}
-	return b.String()
-}
-
-// ColumnWidths computes the per-column display width of a header row plus
-// data rows: the maximum cell width per column index. It is the one shared
-// width pass used by both the text emitter and the legacy Table.Render
-// (historically each walked the rows with its own near-identical loop).
-func ColumnWidths(headers []string, rows [][]string) []int {
-	widths := make([]int, len(headers))
-	for i, h := range headers {
-		widths[i] = len(h)
-	}
-	for _, row := range rows {
-		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	return widths
+	// The text emitter never fails.
+	out, _ := textEmitter{}.Append(nil, d)
+	return string(out)
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -327,10 +328,10 @@ func (failingEmitter) Name() string { return "failing" }
 // ContentType implements results.Emitter.
 func (failingEmitter) ContentType() string { return "application/x-fail" }
 
-// Emit implements results.Emitter by writing half a body, then failing.
-func (failingEmitter) Emit(w io.Writer, d *results.Dataset) error {
-	fmt.Fprint(w, "partial")
-	return errors.New("emitter exploded")
+// Append implements results.Emitter by appending half a body, then failing
+// without rolling it back.
+func (failingEmitter) Append(dst []byte, d *results.Dataset) ([]byte, error) {
+	return append(dst, "partial"...), errors.New("emitter exploded")
 }
 
 // TestEmitFailure checks the buffered-emit contract: an emitter error
@@ -346,6 +347,31 @@ func TestEmitFailure(t *testing.T) {
 	}
 	if ct := rec.Header().Get("Content-Type"); strings.HasPrefix(ct, "application/x-fail") {
 		t.Errorf("failed emit set the emitter content type %q", ct)
+	}
+}
+
+// TestEmitNonFiniteCell pins the promise emit's comment makes: a NaN or
+// infinite cell, which JSON cannot carry, answers 500 with no partial body
+// and no JSON content type.
+func TestEmitNonFiniteCell(t *testing.T) {
+	em, err := results.Lookup("json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		d := results.New("nonfinite", "a non-finite cell", results.Column{Name: "v"})
+		d.AddRow(results.Num(v, 1))
+		rec := httptest.NewRecorder()
+		emit(rec, em, d)
+		if rec.Code != http.StatusInternalServerError {
+			t.Errorf("%v cell: emit = %d, want 500", v, rec.Code)
+		}
+		if body := rec.Body.String(); strings.Contains(body, "schema") || !strings.Contains(body, "unsupported value") {
+			t.Errorf("%v cell: body %q, want only the encoder error", v, body)
+		}
+		if ct := rec.Header().Get("Content-Type"); strings.HasPrefix(ct, "application/json") {
+			t.Errorf("%v cell: failed emit set content type %q", v, ct)
+		}
 	}
 }
 

@@ -48,6 +48,7 @@ import (
 	httppprof "net/http/pprof"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"cxlmem/internal/cluster"
@@ -436,25 +437,48 @@ func (s *Server) requestOptions(w http.ResponseWriter, r *http.Request) (experim
 	return opts, em, true
 }
 
-// writeBuffered renders through render into a buffer first, so a rendering
-// failure becomes a 500 instead of a silent 200 with a partial body, and
-// the Content-Type is only set once the bytes exist.
-func writeBuffered(w http.ResponseWriter, contentType string, render func(io.Writer) error) {
-	var b bytes.Buffer
-	if err := render(&b); err != nil {
+// bodyPool recycles response bodies across requests. A pooled buffer
+// larger than maxPooledBody is dropped instead, so one huge response does
+// not stay pinned.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledBody caps the capacity of a buffer returned to bodyPool.
+const maxPooledBody = 1 << 20
+
+// respond appends the whole body through render into one pooled buffer and
+// writes it with a single Write, so a rendering failure becomes a 500
+// instead of a silent 200 with a partial body, and the Content-Type is only
+// set once the bytes exist.
+func respond(w http.ResponseWriter, contentType string, render func(dst []byte) ([]byte, error)) {
+	buf := bodyPool.Get().(*[]byte)
+	body, err := render((*buf)[:0])
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
+	} else {
+		w.Header().Set("Content-Type", contentType)
+		_, _ = w.Write(body)
 	}
-	w.Header().Set("Content-Type", contentType)
-	_, _ = w.Write(b.Bytes())
+	if cap(body) <= maxPooledBody {
+		*buf = body[:0]
+		bodyPool.Put(buf)
+	}
 }
 
-// emit renders the dataset through the chosen emitter and writes it with
-// its content type, via the buffered path (e.g. a NaN cell the JSON encoder
-// rejects must 500, not 200-empty).
+// writeBuffered is respond for renderers that write to an io.Writer.
+func writeBuffered(w http.ResponseWriter, contentType string, render func(io.Writer) error) {
+	respond(w, contentType, func(dst []byte) ([]byte, error) {
+		b := bytes.NewBuffer(dst)
+		err := render(b)
+		return b.Bytes(), err
+	})
+}
+
+// emit appends the dataset's rendering through the chosen emitter and
+// writes it with its content type, via respond (e.g. a NaN cell the JSON
+// emitter rejects must 500, not 200-empty).
 func emit(w http.ResponseWriter, em results.Emitter, d *results.Dataset) {
 	// The dataset is shared with the memo cache; emitters never mutate it.
-	writeBuffered(w, em.ContentType(), func(wr io.Writer) error { return em.Emit(wr, d) })
+	respond(w, em.ContentType(), func(dst []byte) ([]byte, error) { return em.Append(dst, d) })
 }
 
 // methodGet rejects non-GET requests with 405.

@@ -1,7 +1,7 @@
 // Package sim provides the primitive building blocks shared by every part of
 // the cxlmem simulator: a picosecond-resolution simulated clock, a fast
-// deterministic random number generator, and a fixed-step epoch runner used by
-// the fluid (throughput-oriented) workload models.
+// deterministic random number generator, and the discrete-event scheduler
+// with its trace taps.
 //
 // Everything in this package is deterministic: two runs with the same seed and
 // parameters produce bit-identical results, which is what makes the
@@ -49,9 +49,6 @@ func FromNanoseconds(ns float64) Time {
 	}
 	return Time(ns*float64(Nanosecond) + 0.5)
 }
-
-// FromSeconds converts a float64 second quantity to a Time.
-func FromSeconds(s float64) Time { return Time(s * float64(Second)) }
 
 // FromDuration converts a standard library duration to a simulated Time.
 func FromDuration(d time.Duration) Time { return Time(d.Nanoseconds()) * Nanosecond }

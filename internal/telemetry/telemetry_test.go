@@ -2,7 +2,10 @@ package telemetry
 
 import (
 	"math"
+	"sync"
 	"testing"
+
+	"cxlmem/internal/sim"
 )
 
 func TestFeaturesOrder(t *testing.T) {
@@ -67,5 +70,45 @@ func TestSourceFunc(t *testing.T) {
 	var src Source = SourceFunc(func() Sample { return Sample{IPC: 2} })
 	if src.Counters().IPC != 2 {
 		t.Error("SourceFunc adapter broken")
+	}
+}
+
+// TestSimTraceTapFollowsConfigure pins the tap's contract: a tap taken
+// before Configure feeds the new ring, and taps racing Configure and
+// snapshots stay race-free (this suite runs under -race in CI).
+func TestSimTraceTapFollowsConfigure(t *testing.T) {
+	st := NewSimTrace(4)
+	tap := st.Tap()
+	tap.Observe(sim.TraceEvent{Phase: sim.PhaseDispatch})
+	st.Configure(8)
+	if st.Len() != 0 || st.Cap() != 8 {
+		t.Fatalf("after Configure: len %d cap %d, want 0 and 8", st.Len(), st.Cap())
+	}
+	tap.Observe(sim.TraceEvent{Phase: sim.PhaseComplete, Seq: 7})
+	if got := st.Totals(); got.Completed != 1 || got.Dispatched != 0 {
+		t.Errorf("totals after Configure = %+v, want one completion only", got)
+	}
+	if ev := st.Snapshot(); len(ev) != 1 || ev[0].Seq != 7 {
+		t.Errorf("snapshot = %+v, want the one post-Configure event", ev)
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				tap.Observe(sim.TraceEvent{Phase: sim.PhaseEnqueue, Seq: uint64(i)})
+			}
+		}()
+	}
+	for i := 0; i < 50; i++ {
+		st.Configure(4 + i%4)
+		_ = st.Snapshot()
+		st.Reset()
+	}
+	wg.Wait()
+	if n, c := st.Len(), st.Cap(); n > c {
+		t.Errorf("ring holds %d events over its capacity %d", n, c)
 	}
 }

@@ -1,7 +1,7 @@
 package telemetry
 
 import (
-	"sync"
+	"sync/atomic"
 
 	"cxlmem/internal/sim"
 )
@@ -14,15 +14,18 @@ import (
 // Multiple simulations may feed the ring concurrently (sweep workers run
 // cells in parallel); the ring itself is mutex-protected, and per-run
 // determinism is untouched because each run's own dataset never reads the
-// shared ring back.
+// shared ring back. The current ring sits behind an atomic pointer, so an
+// observation costs one atomic load, not a lock round trip; an observation
+// racing a Configure lands in whichever ring it loaded.
 type SimTrace struct {
-	mu   sync.RWMutex
-	ring *sim.TraceRing
+	ring atomic.Pointer[sim.TraceRing]
 }
 
 // NewSimTrace returns a sink retaining the most recent capacity events.
 func NewSimTrace(capacity int) *SimTrace {
-	return &SimTrace{ring: sim.NewTraceRing(capacity)}
+	t := &SimTrace{}
+	t.ring.Store(sim.NewTraceRing(capacity))
+	return t
 }
 
 // Sim is the process-wide trace sink. Event-driven experiment drivers attach
@@ -32,53 +35,24 @@ var Sim = NewSimTrace(4096)
 // Tap returns the tap to attach to a scheduler. The tap stays valid across
 // Configure: it resolves the current ring on every observation.
 func (t *SimTrace) Tap() sim.Tap {
-	return sim.TapFunc(func(te sim.TraceEvent) {
-		t.mu.RLock()
-		ring := t.ring
-		t.mu.RUnlock()
-		ring.Observe(te)
-	})
+	return sim.TapFunc(func(te sim.TraceEvent) { t.ring.Load().Observe(te) })
 }
 
 // Snapshot returns the retained events oldest-first.
-func (t *SimTrace) Snapshot() []sim.TraceEvent {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.ring.Snapshot()
-}
+func (t *SimTrace) Snapshot() []sim.TraceEvent { return t.ring.Load().Snapshot() }
 
 // Totals returns cumulative per-phase counts since the last Configure/Reset.
-func (t *SimTrace) Totals() sim.TraceCounts {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.ring.Totals()
-}
+func (t *SimTrace) Totals() sim.TraceCounts { return t.ring.Load().Totals() }
 
 // Len returns the number of retained events.
-func (t *SimTrace) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.ring.Len()
-}
+func (t *SimTrace) Len() int { return t.ring.Load().Len() }
 
 // Cap returns the ring capacity.
-func (t *SimTrace) Cap() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.ring.Cap()
-}
+func (t *SimTrace) Cap() int { return t.ring.Load().Cap() }
 
 // Configure replaces the ring with a fresh one of the given capacity,
 // discarding retained events and totals (cxlserve's -trace-cap flag).
-func (t *SimTrace) Configure(capacity int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.ring = sim.NewTraceRing(capacity)
-}
+func (t *SimTrace) Configure(capacity int) { t.ring.Store(sim.NewTraceRing(capacity)) }
 
 // Reset discards retained events and totals, keeping the capacity.
-func (t *SimTrace) Reset() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.ring.Reset()
-}
+func (t *SimTrace) Reset() { t.ring.Load().Reset() }
