@@ -8,7 +8,7 @@
 //	cxlbench -run all                 # regenerate everything, concurrently
 //	cxlbench -run fig13 -quick        # reduced sample counts
 //	cxlbench -run all -parallel 4     # bound the sweep worker pool
-//	cxlbench -run fig5 -fidelity auto # analytic estimate off-knee, exact at the knee
+//	cxlbench -run fig5 -fidelity fast # analytic estimate, no cache simulation
 //	cxlbench -run fig13 -cpuprofile p # write a pprof CPU profile
 //
 // Beyond the paper's fixed figures, -scenario evaluates arbitrary cells of
@@ -71,7 +71,7 @@ func main() {
 	quick := flag.Bool("quick", false, "reduced sample counts")
 	parallel := flag.Int("parallel", 0, "sweep worker count (0 = all CPUs)")
 	seed := flag.Uint64("seed", 0, "override the experiment seed (0 = default)")
-	fidelity := flag.String("fidelity", "", "measurement tier for fig5/ablation-llc: exact (default), auto, fast")
+	fidelity := flag.String("fidelity", "", "measurement tier for fig5/ablation-llc: exact (default) or fast")
 	format := flag.String("format", "", "output format for -run/-scenario: text (default), json, csv")
 	remote := flag.String("remote", "", "comma-separated cxlserve replica URLs: dispatch -scenario cells across the fleet instead of computing locally")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")

@@ -131,10 +131,9 @@ type RunConfig struct {
 	Platform string
 	// Fidelity selects the measurement tier of the cache-simulating
 	// experiments (fig5, ablation-llc): "exact" (default) replays every
-	// operating point through the cache simulator, "fast" uses the CHE
-	// analytic estimate everywhere, and "auto" estimates off-knee points
-	// and simulates only near a capacity knee. Experiments without a
-	// simulated hot path ignore it.
+	// operating point through the cache simulator and "fast" uses the CHE
+	// analytic estimate everywhere. Experiments without a simulated hot
+	// path ignore it.
 	Fidelity string
 }
 
@@ -256,7 +255,7 @@ func RunScenarioMatrixDataset(cfg RunConfig) (*Dataset, error) {
 }
 
 // Policy is a two-node (DDR, CXL) weighted-interleave allocation policy —
-// the knob Caption tunes. It satisfies numa.Policy.
+// the knob Caption tunes. Every numa.Space places its pages through one.
 type Policy = numa.Weighted
 
 // NewPolicy creates a policy placing cxlPercent of new pages on CXL memory.

@@ -53,15 +53,6 @@ func FitEstimator(samples []telemetry.Sample, throughput []float64) (*Estimator,
 	return &Estimator{model: m}, nil
 }
 
-// NewEstimatorFromModel wraps an existing linear model (used by tests and by
-// deployments that ship pre-fitted weights).
-func NewEstimatorFromModel(m *stats.LinearModel) *Estimator {
-	if m == nil {
-		panic("core: nil model")
-	}
-	return &Estimator{model: m}
-}
-
 // Estimate returns the predicted memory-subsystem performance for the
 // smoothed counter sample.
 func (e *Estimator) Estimate(s telemetry.Sample) float64 {

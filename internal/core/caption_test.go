@@ -242,7 +242,7 @@ func TestControllerStepAppliesRatio(t *testing.T) {
 	// Estimator: performance = IPC (identity on one counter), so rising IPC
 	// means improvement.
 	model := &stats.LinearModel{Intercept: 0, Coefficients: []float64{0, 0, 1}}
-	est := NewEstimatorFromModel(model)
+	est := &Estimator{model: model}
 	var applied []float64
 	ctl := NewController(est, DefaultTunerConfig(), func(p float64) error {
 		applied = append(applied, p)
@@ -269,7 +269,7 @@ func TestControllerStepAppliesRatio(t *testing.T) {
 
 func TestControllerSynchrony(t *testing.T) {
 	model := &stats.LinearModel{Intercept: 0, Coefficients: []float64{0, 0, 1}}
-	ctl := NewController(NewEstimatorFromModel(model), DefaultTunerConfig(), func(float64) error { return nil })
+	ctl := NewController(&Estimator{model: model}, DefaultTunerConfig(), func(float64) error { return nil })
 	var throughput []float64
 	for i := 0; i < 20; i++ {
 		v := 1 + float64(i)*0.05
@@ -287,10 +287,9 @@ func TestControllerPanics(t *testing.T) {
 	model := &stats.LinearModel{Intercept: 0, Coefficients: []float64{0, 0, 1}}
 	for name, fn := range map[string]func(){
 		"nil estimator": func() { NewController(nil, DefaultTunerConfig(), func(float64) error { return nil }) },
-		"nil setter":    func() { NewController(NewEstimatorFromModel(model), DefaultTunerConfig(), nil) },
-		"nil model":     func() { NewEstimatorFromModel(nil) },
+		"nil setter":    func() { NewController(&Estimator{model: model}, DefaultTunerConfig(), nil) },
 		"bad synchrony": func() {
-			c := NewController(NewEstimatorFromModel(model), DefaultTunerConfig(), func(float64) error { return nil })
+			c := NewController(&Estimator{model: model}, DefaultTunerConfig(), func(float64) error { return nil })
 			c.Synchrony([]float64{1})
 		},
 	} {

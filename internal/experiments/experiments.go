@@ -49,8 +49,8 @@ type Options struct {
 	// ignore it.
 	Platform string
 	// Fidelity selects the measurement tier of the cache-simulating
-	// experiments (fig5, ablation-llc): exact simulation (default), the CHE
-	// analytic estimate (fast), or analytic-off-knee/exact-at-knee (auto).
+	// experiments (fig5, ablation-llc): exact simulation (default) or the
+	// CHE analytic estimate (fast).
 	// Experiments without a simulated hot path ignore it.
 	Fidelity Fidelity
 	// Ctx, when non-nil, bounds the run: the sweep engine stops claiming

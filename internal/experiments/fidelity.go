@@ -18,12 +18,9 @@ const (
 	// FidelityExact simulates every operating point through the streamed
 	// cache replay — the default, and the mode the golden corpus pins.
 	FidelityExact Fidelity = "exact"
-	// FidelityAuto simulates operating points near a capacity knee
-	// (mlc.BufferKneeDistance < mlc.KneeMargin) and uses the CHE analytic
-	// estimate everywhere else, where the property-tested divergence bound
-	// applies (mlc.BufferLatencyEstimate).
-	FidelityAuto Fidelity = "auto"
-	// FidelityFast uses the analytic estimate for every point.
+	// FidelityFast uses the CHE analytic estimate for every point
+	// (mlc.BufferLatencyEstimate), whose divergence from exact is
+	// property-tested away from capacity knees.
 	FidelityFast Fidelity = "fast"
 )
 
@@ -33,10 +30,10 @@ func ParseFidelity(s string) (Fidelity, error) {
 	switch f := Fidelity(strings.ToLower(s)); f {
 	case "", FidelityExact:
 		return FidelityExact, nil
-	case FidelityAuto, FidelityFast:
+	case FidelityFast:
 		return f, nil
 	default:
-		return "", fmt.Errorf("unknown fidelity %q (want exact, auto or fast)", s)
+		return "", fmt.Errorf("unknown fidelity %q (want exact or fast)", s)
 	}
 }
 
@@ -62,17 +59,10 @@ func (o Options) provFidelity() string {
 // bufferLatencyNs measures (or estimates, per the fidelity tier) the average
 // buffer latency of one operating point — the shared hot path of fig5 and
 // ablation-llc. Exact simulation keeps the historical seed offset and RNG
-// stream, so exact fidelity is byte-identical to the golden corpus; auto
-// falls back to exact simulation whenever the point sits within
-// mlc.KneeMargin of a capacity knee.
+// stream, so exact fidelity is byte-identical to the golden corpus.
 func (o Options) bufferLatencyNs(sys *topo.System, path *topo.Path, bufBytes int64, samples int) float64 {
-	switch o.fidelity() {
-	case FidelityFast:
+	if o.fidelity() == FidelityFast {
 		return mlc.BufferLatencyEstimate(sys, path, bufBytes).Nanoseconds()
-	case FidelityAuto:
-		if mlc.BufferKneeDistance(sys, path, bufBytes) >= mlc.KneeMargin {
-			return mlc.BufferLatencyEstimate(sys, path, bufBytes).Nanoseconds()
-		}
 	}
 	return mlc.BufferLatencyOpt(sys, path, bufBytes, samples, o.Seed+3,
 		mlc.StreamOptions{Workers: o.workers(), Ctx: o.Ctx}).Nanoseconds()

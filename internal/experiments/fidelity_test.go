@@ -11,16 +11,19 @@ import (
 func TestParseFidelity(t *testing.T) {
 	for in, want := range map[string]Fidelity{
 		"": FidelityExact, "exact": FidelityExact, "EXACT": FidelityExact,
-		"auto": FidelityAuto, "Fast": FidelityFast,
+		"fast": FidelityFast, "Fast": FidelityFast,
 	} {
 		got, err := ParseFidelity(in)
 		if err != nil || got != want {
 			t.Errorf("ParseFidelity(%q) = %q, %v; want %q", in, got, err, want)
 		}
 	}
-	if _, err := ParseFidelity("cheap"); err == nil ||
-		!strings.Contains(err.Error(), "unknown fidelity") {
-		t.Errorf("ParseFidelity(\"cheap\") error = %v, want unknown-fidelity", err)
+	// There are two tiers; "auto" is as unknown as any other name.
+	for _, in := range []string{"cheap", "auto", "AUTO"} {
+		if _, err := ParseFidelity(in); err == nil ||
+			!strings.Contains(err.Error(), "unknown fidelity") {
+			t.Errorf("ParseFidelity(%q) error = %v, want unknown-fidelity", in, err)
+		}
 	}
 }
 
@@ -33,65 +36,65 @@ func TestRunDatasetRejectsBadFidelity(t *testing.T) {
 }
 
 // TestFidelityCaching pins the memo-key honesty rules: a fidelity-consuming
-// experiment caches exact and auto runs separately, while one that ignores
+// experiment caches exact and fast runs separately, while one that ignores
 // the knob shares a single entry (and a single dataset pointer) across
 // fidelities, exactly as platform blanking works for the fixed figures.
 func TestFidelityCaching(t *testing.T) {
 	exact := DefaultOptions()
 	exact.Quick = true
-	auto := exact
-	auto.Fidelity = FidelityAuto
+	fast := exact
+	fast.Fidelity = FidelityFast
 
 	f5exact, err := RunDataset("fig5", exact)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f5auto, err := RunDataset("fig5", auto)
+	f5fast, err := RunDataset("fig5", fast)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f5exact == f5auto {
-		t.Error("fig5 exact and auto runs share one cache entry; fidelity must fork the key")
+	if f5exact == f5fast {
+		t.Error("fig5 exact and fast runs share one cache entry; fidelity must fork the key")
 	}
 	if f5exact.Prov.Fidelity != "" {
 		t.Errorf("exact fig5 provenance fidelity = %q, want empty", f5exact.Prov.Fidelity)
 	}
-	if f5auto.Prov.Fidelity != "auto" {
-		t.Errorf("auto fig5 provenance fidelity = %q, want auto", f5auto.Prov.Fidelity)
+	if f5fast.Prov.Fidelity != "fast" {
+		t.Errorf("fast fig5 provenance fidelity = %q, want fast", f5fast.Prov.Fidelity)
 	}
 
 	f3exact, err := RunDataset("fig3", exact)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f3auto, err := RunDataset("fig3", auto)
+	f3fast, err := RunDataset("fig3", fast)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f3exact != f3auto {
+	if f3exact != f3fast {
 		t.Error("fig3 ignores fidelity but forked its cache entry anyway")
 	}
-	if f3auto.Prov.Fidelity != "" {
-		t.Errorf("fig3 provenance fidelity = %q, want empty (knob blanked)", f3auto.Prov.Fidelity)
+	if f3fast.Prov.Fidelity != "" {
+		t.Errorf("fig3 provenance fidelity = %q, want empty (knob blanked)", f3fast.Prov.Fidelity)
 	}
 }
 
-// TestAutoFidelityTracksExact bounds the rendered divergence of the analytic
+// TestFastFidelityTracksExact bounds the rendered divergence of the analytic
 // tier on the real operating points: both fig5 placements and both
-// ablation-llc configurations sit off-knee (that is what makes auto >= 10x
-// there), and mlc's property test guarantees 10% off-knee accuracy — checked
-// here end to end through the experiment drivers.
-func TestAutoFidelityTracksExact(t *testing.T) {
+// ablation-llc configurations sit off-knee, and mlc's property test
+// guarantees 10% off-knee accuracy — checked here end to end through the
+// experiment drivers.
+func TestFastFidelityTracksExact(t *testing.T) {
 	for _, id := range []string{"fig5", "ablation-llc"} {
 		exact := DefaultOptions()
 		exact.Quick = true
-		auto := exact
-		auto.Fidelity = FidelityAuto
+		fast := exact
+		fast.Fidelity = FidelityFast
 		de, err := RunDataset(id, exact)
 		if err != nil {
 			t.Fatal(err)
 		}
-		da, err := RunDataset(id, auto)
+		da, err := RunDataset(id, fast)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +112,7 @@ func TestAutoFidelityTracksExact(t *testing.T) {
 				}
 				rel := math.Abs(da.Rows[row][c].Float-cell.Float) / cell.Float
 				if rel > 0.10 {
-					t.Errorf("%s row %d col %d: auto %.2f vs exact %.2f (%.1f%% off)",
+					t.Errorf("%s row %d col %d: fast %.2f vs exact %.2f (%.1f%% off)",
 						id, row, c, da.Rows[row][c].Float, cell.Float, rel*100)
 				}
 			}

@@ -19,7 +19,7 @@ func memoKeyLines(t *testing.T) []string {
 	var lines []string
 	for _, id := range IDs() {
 		for _, quick := range []bool{false, true} {
-			for _, f := range []Fidelity{FidelityExact, FidelityAuto, FidelityFast} {
+			for _, f := range []Fidelity{FidelityExact, FidelityFast} {
 				o := DefaultOptions()
 				o.Quick, o.Fidelity = quick, f
 				key, err := DatasetKey(id, o)

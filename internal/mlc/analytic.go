@@ -1,8 +1,6 @@
 package mlc
 
 import (
-	"math"
-
 	"cxlmem/internal/cache"
 	"cxlmem/internal/sim"
 	"cxlmem/internal/topo"
@@ -17,15 +15,9 @@ import (
 // simulating a single access. The estimator below composes those fractions
 // with the same per-level path.HitLatency the streamed loops charge, so off
 // the knee it converges to the exact measurement (the divergence bound is
-// property-tested in analytic_test.go). Near a knee — buffer within a factor
-// 2^KneeMargin of a capacity — occupancy is genuinely contested and only
-// exact simulation resolves it; BufferKneeDistance is the dial callers use
-// to pick (experiments' auto fidelity).
-
-// KneeMargin is the knee-proximity threshold, in doublings of buffer size:
-// a buffer within 2^KneeMargin of a cache-capacity knee is "at the knee"
-// and should be simulated exactly rather than estimated.
-const KneeMargin = 0.5
+// property-tested in analytic_test.go). Near a knee occupancy is genuinely
+// contested and only exact simulation resolves it; the property test's
+// knee-distance band marks where the estimate is trusted.
 
 // bufferLevelFractions returns the estimated fraction of uniform-random
 // accesses served by each level for a buffer of bufBytes homed per home.
@@ -57,8 +49,7 @@ func bufferLevelFractions(hier *cache.Hierarchy, home cache.Home, bufBytes int64
 // BufferLatencyEstimate is the analytic counterpart of BufferLatencyOpt: the
 // CHE level fractions weighted by the same per-level hit latencies the
 // simulated loop charges. It costs microseconds instead of a warmed
-// multi-million-access replay, and is accurate away from capacity knees
-// (check BufferKneeDistance before trusting it near one).
+// multi-million-access replay, and is accurate away from capacity knees.
 func BufferLatencyEstimate(sys *topo.System, path *topo.Path, bufBytes int64) sim.Time {
 	frac := bufferLevelFractions(sys.Hier, sys.HomeFor(path, 0), bufBytes)
 	ns := 0.0
@@ -66,25 +57,4 @@ func BufferLatencyEstimate(sys *topo.System, path *topo.Path, bufBytes int64) si
 		ns += frac[lvl] * path.HitLatency(lvl).Nanoseconds()
 	}
 	return sim.FromNanoseconds(ns)
-}
-
-// BufferKneeDistance reports how far bufBytes sits from the nearest
-// capacity knee of the hierarchy as seen from path's home, in doublings:
-// |log2(buffer / knee)| minimized over the L1, L2 and L2+effective-LLC
-// capacities. A distance below KneeMargin means the buffer is close enough
-// to a transition that the analytic model's sharp-corner approximation can
-// misjudge the contested level's share.
-func BufferKneeDistance(sys *topo.System, path *topo.Path, bufBytes int64) float64 {
-	hier := sys.Hier
-	home := sys.HomeFor(path, 0)
-	l1Lines, l2Lines := hier.PrivateLines(0)
-	eff := hier.EffectiveLLCLines(home)
-	n := float64(bufBytes) / cache.LineBytes
-	d := math.Inf(1)
-	for _, knee := range []float64{float64(l1Lines), float64(l2Lines), float64(l2Lines) + float64(eff)} {
-		if v := math.Abs(math.Log2(n / knee)); v < d {
-			d = v
-		}
-	}
-	return d
 }

@@ -4,8 +4,36 @@ import (
 	"math"
 	"testing"
 
+	"cxlmem/internal/cache"
 	"cxlmem/internal/topo"
 )
+
+// KneeMargin is the knee-proximity threshold, in doublings of buffer size:
+// a buffer within 2^KneeMargin of a cache-capacity knee is "at the knee",
+// where occupancy is contested and only exact simulation resolves it. Past
+// the margin the analytic estimate is held to its divergence bound.
+const KneeMargin = 0.5
+
+// BufferKneeDistance reports how far bufBytes sits from the nearest
+// capacity knee of the hierarchy as seen from path's home, in doublings:
+// |log2(buffer / knee)| minimized over the L1, L2 and L2+effective-LLC
+// capacities. A distance below KneeMargin means the buffer is close enough
+// to a transition that the analytic model's sharp-corner approximation can
+// misjudge the contested level's share.
+func BufferKneeDistance(sys *topo.System, path *topo.Path, bufBytes int64) float64 {
+	hier := sys.Hier
+	home := sys.HomeFor(path, 0)
+	l1Lines, l2Lines := hier.PrivateLines(0)
+	eff := hier.EffectiveLLCLines(home)
+	n := float64(bufBytes) / cache.LineBytes
+	d := math.Inf(1)
+	for _, knee := range []float64{float64(l1Lines), float64(l2Lines), float64(l2Lines) + float64(eff)} {
+		if v := math.Abs(math.Log2(n / knee)); v < d {
+			d = v
+		}
+	}
+	return d
+}
 
 // TestBufferLatencyWorkersInvariant pins the sharded driver's promise at the
 // measurement level: the worker count is throughput-only, the returned
@@ -30,7 +58,7 @@ func TestBufferLatencyWorkersInvariant(t *testing.T) {
 }
 
 // TestBufferLatencyEstimateTracksExact is the divergence property test the
-// auto fidelity tier rests on: wherever BufferKneeDistance clears KneeMargin
+// fast fidelity tier rests on: wherever BufferKneeDistance clears KneeMargin
 // the analytic estimate must stay within 10% of exact simulation, and well
 // clear of every knee (two doublings) within 5%. The 32 MB points are the
 // fig5 operating points themselves.

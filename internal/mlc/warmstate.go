@@ -36,24 +36,13 @@ import (
 // DefaultWarmStateEntries is the warm-state cache's default entry budget.
 // Each entry holds a hierarchy snapshot: at most the SPR model's 17.7 MB
 // arena, 2.4–8.8 MB for fig5's points, whose warmups leave most blocks
-// empty. The budget is small; ConfigureWarmStates resizes or disables it.
+// empty.
 const DefaultWarmStateEntries = 4
 
 var (
 	warmStates    = memo.NewCacheWith(memo.CacheConfig{MaxEntries: DefaultWarmStateEntries})
 	warmStatesOff atomic.Bool
 )
-
-// ConfigureWarmStates resizes the warm-state cache's entry budget: positive
-// bounds it, 0 makes it unbounded, negative disables warm-state caching
-// entirely (every measurement warms inline). Resident entries above a
-// lowered budget are evicted immediately.
-func ConfigureWarmStates(maxEntries int) {
-	warmStatesOff.Store(maxEntries < 0)
-	if maxEntries >= 0 {
-		warmStates.Configure(memo.CacheConfig{MaxEntries: maxEntries})
-	}
-}
 
 // WarmStateStats snapshots the warm-state cache's counters — hits are
 // measurements that restored a memoized warmup instead of re-simulating it.

@@ -5,8 +5,20 @@ import (
 	"testing"
 	"time"
 
+	"cxlmem/internal/memo"
 	"cxlmem/internal/topo"
 )
+
+// ConfigureWarmStates resizes the warm-state cache's entry budget: positive
+// bounds it, 0 makes it unbounded, negative disables warm-state caching
+// entirely (every measurement warms inline). Resident entries above a
+// lowered budget are evicted immediately.
+func ConfigureWarmStates(maxEntries int) {
+	warmStatesOff.Store(maxEntries < 0)
+	if maxEntries >= 0 {
+		warmStates.Configure(memo.CacheConfig{MaxEntries: maxEntries})
+	}
+}
 
 // coldBuffer measures one operating point with warm-state caching disabled —
 // the reference cold path — restoring the previous cache configuration

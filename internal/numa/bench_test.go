@@ -14,34 +14,7 @@ func BenchmarkSpaceAlloc(b *testing.B) {
 	}
 }
 
-// BenchmarkSpaceAllocSequential is the same allocation forced through the
-// page-at-a-time Policy interface — the pre-bulk baseline.
-func BenchmarkSpaceAllocSequential(b *testing.B) {
-	const pages = 100_000
-	b.SetBytes(pages * PageBytes)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s := NewSpace(twoNodes(), seqOnly{NewDDRCXLSplit(25)})
-		s.Alloc(pages)
-	}
-}
-
-// seqOnly hides the bulk interfaces of a policy.
-type seqOnly struct{ p Policy }
-
-func (s seqOnly) Next() int { return s.p.Next() }
-
-// BenchmarkWeightedNextN measures the closed-form batch accounting alone.
-func BenchmarkWeightedNextN(b *testing.B) {
-	w := NewDDRCXLSplit(37)
-	counts := make([]int64, 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.NextN(100_000, counts)
-	}
-}
-
-// BenchmarkWeightedNext measures the page-at-a-time path for comparison.
+// BenchmarkWeightedNext measures the page-at-a-time reference path.
 func BenchmarkWeightedNext(b *testing.B) {
 	w := NewDDRCXLSplit(37)
 	b.ResetTimer()

@@ -1,17 +1,12 @@
 // Package numa models the OS view of the evaluated system's memory: NUMA
-// nodes backed by memory devices, a paged address space, and the allocation
-// policies the paper drives through numactl and the N:M weighted-interleave
-// mempolicy patch (§5): membind, preferred, and weighted interleave with a
+// nodes backed by memory devices, a paged address space, and the N:M
+// weighted-interleave mempolicy the paper places pages with (§5), with a
 // runtime-adjustable percentage of pages allocated to CXL memory — the knob
-// Caption turns.
+// Caption turns. A 0 % or 100 % split stands in for numactl --membind.
 //
-// Allocation is the hot path of every experiment regeneration, so the
-// policies expose a bulk interface alongside the page-at-a-time one (see
-// DESIGN.md §4): BulkPolicy.NextN answers "how many of the next n pages land
-// on each node" in closed form, and Placer.PlaceN materializes the exact
-// per-page sequence with a single lock acquisition and no per-page
-// interface dispatch. Space.Alloc uses the bulk path whenever the policy
-// supports it.
+// Allocation is the hot path of every experiment regeneration, so
+// Space.Alloc places a whole batch through Weighted.PlaceN with a single
+// lock acquisition (see DESIGN.md §4).
 package numa
 
 import (
@@ -26,166 +21,16 @@ const PageBytes = 4096
 // node in every experiment is local DDR; CXL memory appears as a CPU-less
 // node, exactly as the real kernel exposes it.
 type Node struct {
-	// ID is the node number used by policies.
+	// ID is the node number the policy's weights are indexed by.
 	ID int
 	// Name matches the backing device ("DDR5-L", "CXL-A", ...).
 	Name string
-	// CapacityPages bounds allocation; 0 means unbounded.
-	CapacityPages int64
-}
-
-// Policy chooses the node for each newly allocated page.
-type Policy interface {
-	// Next returns the node ID for the next page allocation.
-	Next() int
-}
-
-// BulkPolicy is a Policy that can account for a batch of allocations in one
-// call. NextN advances the policy by exactly n steps and adds the number of
-// pages each node received to counts (indexed by node ID); the result is
-// identical to n sequential Next calls, but a policy may compute it in
-// closed form — Weighted does so in O(nodes²·log n) with a single lock
-// acquisition instead of O(n·nodes) with n lock acquisitions.
-type BulkPolicy interface {
-	Policy
-	// NextN performs n allocation steps at once. counts must have at least
-	// as many entries as the policy has nodes; per-node totals are added in
-	// place.
-	NextN(n int, counts []int64)
-}
-
-// Placer is an optional extension of BulkPolicy for policies whose exact
-// per-page placement order matters (weighted interleave spreads pages
-// smoothly; a block fill would change which addresses land on CXL). PlaceN
-// writes the node ID of each of the next len(dst) pages into dst — the same
-// sequence len(dst) Next calls would produce — and adds per-node totals to
-// counts.
-type Placer interface {
-	Policy
-	// PlaceN materializes the next len(dst) placements.
-	PlaceN(dst []uint8, counts []int64)
-}
-
-// Membind always allocates from a single node (numactl --membind).
-type Membind struct {
-	// Node is the target node ID.
-	Node int
-}
-
-// Next implements Policy.
-func (m *Membind) Next() int { return m.Node }
-
-// NextN implements BulkPolicy.
-func (m *Membind) NextN(n int, counts []int64) {
-	if n < 0 {
-		panic("numa: negative bulk allocation")
-	}
-	counts[m.Node] += int64(n)
-}
-
-// PlaceN implements Placer.
-func (m *Membind) PlaceN(dst []uint8, counts []int64) {
-	id := uint8(m.Node)
-	for i := range dst {
-		dst[i] = id
-	}
-	counts[m.Node] += int64(len(dst))
-}
-
-// Preferred allocates from the preferred node until its capacity is
-// exhausted, then falls back through the remaining order (numactl
-// --preferred).
-type Preferred struct {
-	// Order lists node IDs from most to least preferred.
-	Order []int
-	// Remaining tracks per-node free pages, indexed by node ID.
-	Remaining map[int]int64
-}
-
-// NewPreferred builds a preferred policy over the given nodes in order.
-func NewPreferred(nodes []*Node) *Preferred {
-	p := &Preferred{Remaining: make(map[int]int64)}
-	for _, n := range nodes {
-		p.Order = append(p.Order, n.ID)
-		cap := n.CapacityPages
-		if cap == 0 {
-			cap = 1 << 62
-		}
-		p.Remaining[n.ID] = cap
-	}
-	return p
-}
-
-// Next implements Policy.
-func (p *Preferred) Next() int {
-	for _, id := range p.Order {
-		if p.Remaining[id] > 0 {
-			p.Remaining[id]--
-			return id
-		}
-	}
-	// Everything full: overcommit the last node, like the kernel falling
-	// back to reclaim on the final candidate.
-	return p.Order[len(p.Order)-1]
-}
-
-// NextN implements BulkPolicy: the preferred fill order is deterministic, so
-// n steps drain the order front to back in one pass.
-func (p *Preferred) NextN(n int, counts []int64) {
-	if n < 0 {
-		panic("numa: negative bulk allocation")
-	}
-	left := int64(n)
-	for _, id := range p.Order {
-		if left == 0 {
-			return
-		}
-		take := p.Remaining[id]
-		if take > left {
-			take = left
-		}
-		if take > 0 {
-			p.Remaining[id] -= take
-			counts[id] += take
-			left -= take
-		}
-	}
-	if left > 0 { // overcommit the last candidate
-		counts[p.Order[len(p.Order)-1]] += left
-	}
-}
-
-// PlaceN implements Placer: the sequence is the same front-to-back drain.
-func (p *Preferred) PlaceN(dst []uint8, counts []int64) {
-	i := 0
-	for _, id := range p.Order {
-		if i == len(dst) {
-			return
-		}
-		take := p.Remaining[id]
-		if take > int64(len(dst)-i) {
-			take = int64(len(dst) - i)
-		}
-		for k := int64(0); k < take; k++ {
-			dst[i] = uint8(id)
-			i++
-		}
-		p.Remaining[id] -= take
-		counts[id] += take
-	}
-	if i < len(dst) {
-		last := p.Order[len(p.Order)-1]
-		counts[last] += int64(len(dst) - i)
-		for ; i < len(dst); i++ {
-			dst[i] = uint8(last)
-		}
-	}
 }
 
 // weightScale is the fixed-point resolution of Weighted: weights are stored
-// as integer shares summing to weightScale, so scheduling is exact integer
-// arithmetic (reproducible and closed-form computable). Requested weights
-// are honored to within 1/weightScale of their normalized value.
+// as integer shares summing to weightScale, so scheduling is exact,
+// reproducible integer arithmetic. Requested weights are honored to within
+// 1/weightScale of their normalized value.
 const weightScale = 1 << 16
 
 // Weighted implements the N:M weighted-interleave mempolicy (the kernel
@@ -194,17 +39,13 @@ const weightScale = 1 << 16
 // affect only future allocations, exactly like the real mempolicy — this is
 // the interface Caption's tuner drives.
 //
-// Scheduling is deterministic smooth weighted interleave with an exact
-// closed form (the sequentialized Sainte-Laguë divisor method): node i's
-// k-th page is scheduled at time ((k−½)·S − c_i)/w_i — S the fixed-point
-// scale, w_i the node's integer share, c_i its credit — and every step picks
-// the earliest pending time. Ties are broken toward the lowest node ID, and
-// zero-weight nodes are never chosen. Over any window the realized split
-// tracks the weights to within one page per node; equal weights degrade to
-// plain round-robin starting at node 0. Next() and NextN(n) are the same
-// schedule: folding a batch into the credits shifts every node's pending
-// times by the same constant, so NextN(a+b) ≡ NextN(a);NextN(b) ≡ a+b
-// single steps, exactly.
+// Scheduling is deterministic smooth weighted interleave: node i's next page
+// is pending at time (S − 2·c_i)/(2·w_i) — S the fixed-point scale, w_i the
+// node's integer share, c_i its credit — and every step picks the earliest
+// pending time. Ties are broken toward the lowest node ID, and zero-weight
+// nodes are never chosen. Over any window the realized split tracks the
+// weights to within one page per node; equal weights degrade to plain
+// round-robin starting at node 0.
 type Weighted struct {
 	mu      sync.Mutex
 	weights []int64   // fixed-point shares, sum == weightScale
@@ -319,7 +160,7 @@ func (w *Weighted) CXLPercent() float64 {
 // step performs one scheduling step: the node whose next pending time
 // (weightScale − 2·credit)/(2·weight) is smallest wins, ties to the lowest
 // node ID; then every credit grows by its weight and the winner is charged
-// one whole share. Identical to NextN(1). Caller holds w.mu.
+// one whole share. Caller holds w.mu.
 func (w *Weighted) step() int {
 	best := -1
 	var bestNum, bestW int64
@@ -340,124 +181,26 @@ func (w *Weighted) step() int {
 	return best
 }
 
-// Next implements Policy with deterministic earliest-deadline scheduling:
-// over any window of allocations the realized split tracks the weights
-// exactly (a smooth weighted round-robin rather than a random draw). Ties
-// break to the lowest node ID.
+// Next returns the node for the next page: one step of the schedule that
+// PlaceN runs in bulk.
 func (w *Weighted) Next() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.step()
 }
 
-// maxBulk bounds one closed-form batch so every intermediate product fits
-// int64 with weightScale-sized operands: rank() multiplies a
-// (2·maxBulk·weightScale)-sized numerator by a weight.
-const maxBulk = 1 << 28
-
-// NextN implements BulkPolicy in closed form. The smooth-WRR schedule is the
-// sequentialized Sainte-Laguë (Webster) divisor method: node i receives its
-// k-th page at "time" ((k−½)·S − c_i)/w_i (S = weightScale, c_i the credit
-// when the batch starts), and the n steps pick the n smallest such times,
-// ties toward the lowest node ID. Counting how many of the n smallest times
-// belong to each node is a rank selection over per-node arithmetic
-// progressions — O(nodes²·log n) integer work and one lock acquisition,
-// instead of n locked scans. The per-node counts and the credit update are
-// bit-identical to n sequential Next calls (see TestWeightedNextNMatchesNext).
-func (w *Weighted) NextN(n int, counts []int64) {
-	if n < 0 {
-		panic("numa: negative bulk allocation")
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for n > maxBulk {
-		w.bulkCounts(maxBulk, counts)
-		n -= maxBulk
-	}
-	if n > 0 {
-		w.bulkCounts(n, counts)
-	}
-}
-
-// bulkCounts advances the schedule by n <= maxBulk steps. Caller holds w.mu.
-// Every node's rank is computed against the batch's starting credits; the
-// credit fold happens only once all counts are known.
-func (w *Weighted) bulkCounts(n int, counts []int64) {
-	var local [8]int64
-	per := local[:0]
-	if len(w.weights) > len(local) {
-		per = make([]int64, 0, len(w.weights))
-	}
-	total := int64(0)
-	for i := range w.weights {
-		if w.weights[i] == 0 {
-			per = append(per, 0)
-			continue
-		}
-		// Binary search the largest k whose global rank is within n.
-		lo, hi := int64(0), int64(n) // rank(lo) <= n < rank(hi+1) invariant
-		for lo < hi {
-			k := (lo + hi + 1) / 2
-			if w.rank(i, k) <= int64(n) {
-				lo = k
-			} else {
-				hi = k - 1
-			}
-		}
-		per = append(per, lo)
-		total += lo
-	}
-	if total != int64(n) {
-		panic(fmt.Sprintf("numa: bulk schedule accounted %d of %d pages (weights=%v credits=%v)", total, n, w.weights, w.credit))
-	}
-	for i, k := range per {
-		counts[i] += k
-		w.credit[i] += int64(n)*w.weights[i] - k*weightScale
-	}
-}
-
-// rank returns the 1-based position of node i's k-th allocation in the
-// global schedule: the number of (node, seat) pairs scheduled no later than
-// it. Node i's k-th seat has priority time ((2k−1)·S − 2c_i)/(2w_i); a pair
-// of node j ranks earlier on a strictly smaller time, with exact ties going
-// to the lower node ID. All comparisons are cross-multiplied integers.
-func (w *Weighted) rank(i int, k int64) int64 {
-	wi := w.weights[i]
-	b := (2*k - 1) * weightScale // priority numerator of (i, k), times 2w_i...
-	bi := b - 2*w.credit[i]      // ...shifted by node i's credit
-	r := k
-	for j, wj := range w.weights {
-		if j == i || wj == 0 {
-			continue
-		}
-		// Seats l of node j with ((2l−1)S − 2c_j)·w_i  ≤/<  bi·w_j.
-		num := bi*wj + (weightScale+2*w.credit[j])*wi
-		den := 2 * weightScale * wi
-		if j > i {
-			num-- // strict: ties rank after node i
-		}
-		if l := floorDiv(num, den); l > 0 {
-			r += l
-		}
-	}
-	return r
-}
-
-// floorDiv returns floor(a/b) for b > 0.
-func floorDiv(a, b int64) int64 {
-	q := a / b
-	if a%b != 0 && a < 0 {
-		q--
-	}
-	return q
-}
-
-// PlaceN implements Placer: the exact smooth-WRR sequence, materialized with
-// one lock acquisition and a tight integer loop (the two-node DDR:CXL case —
-// every application experiment — runs branch-light and inlined).
+// PlaceN writes the node of each of the next len(dst) pages into dst — the
+// same sequence len(dst) Next calls would produce — and adds per-node totals
+// to counts. It takes one lock acquisition and runs a tight integer loop
+// (the two-node DDR:CXL case — every application experiment — runs
+// branch-light and inlined). It panics if the policy spans more nodes than
+// counts has entries.
 func (w *Weighted) PlaceN(dst []uint8, counts []int64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if len(w.weights) > len(counts) {
+		panic(fmt.Sprintf("numa: policy over %d nodes placing into %d", len(w.weights), len(counts)))
+	}
 	if len(w.weights) == 2 {
 		w0, w1 := w.weights[0], w.weights[1]
 		c0, c1 := w.credit[0], w.credit[1]
@@ -503,7 +246,7 @@ func (w *Weighted) PlaceN(dst []uint8, counts []int64) {
 // Space is a paged address space with per-page node placement.
 type Space struct {
 	nodes  []*Node
-	policy Policy
+	policy *Weighted
 	pages  []uint8 // node ID per page
 	counts []int64 // pages per node
 
@@ -516,7 +259,7 @@ type Space struct {
 
 // NewSpace creates an empty address space over the given nodes with the
 // given allocation policy.
-func NewSpace(nodes []*Node, policy Policy) *Space {
+func NewSpace(nodes []*Node, policy *Weighted) *Space {
 	if len(nodes) == 0 || len(nodes) > 256 {
 		panic("numa: need between 1 and 256 nodes")
 	}
@@ -531,21 +274,9 @@ func NewSpace(nodes []*Node, policy Policy) *Space {
 	return &Space{nodes: nodes, policy: policy, counts: make([]int64, len(nodes))}
 }
 
-// Nodes returns the node set.
-func (s *Space) Nodes() []*Node { return s.nodes }
-
-// SetPolicy replaces the allocation policy for future allocations.
-func (s *Space) SetPolicy(p Policy) {
-	if p == nil {
-		panic("numa: nil policy")
-	}
-	s.policy = p
-}
-
 // Alloc extends the space by n pages placed per the policy and returns the
-// index of the first new page. The page store is grown once; placement takes
-// the policy's bulk path when available (Placer, then BulkPolicy) and falls
-// back to per-page Next calls otherwise.
+// index of the first new page. The page store is grown once and the policy
+// places the whole batch in one PlaceN call.
 func (s *Space) Alloc(n int) int {
 	if n < 0 {
 		panic("numa: negative allocation")
@@ -563,46 +294,8 @@ func (s *Space) Alloc(n int) int {
 		s.pages = grown
 	}
 	s.pages = s.pages[: first+n : cap(s.pages)]
-	dst := s.pages[first:]
 
-	switch p := s.policy.(type) {
-	case Placer:
-		p.PlaceN(dst, s.counts)
-		// Keep the sequential path's invariant: a misbehaving policy gets
-		// a named panic here, not a far-away index corruption.
-		for _, id := range dst {
-			if int(id) >= len(s.nodes) {
-				panic(fmt.Sprintf("numa: policy placed invalid node %d", id))
-			}
-		}
-	case BulkPolicy:
-		// Totals-only policy: materialize in ascending node order.
-		batch := make([]int64, len(s.nodes))
-		p.NextN(n, batch)
-		i := 0
-		for id, c := range batch {
-			if c < 0 || c > int64(n-i) {
-				panic(fmt.Sprintf("numa: policy returned invalid count %d for node %d", c, id))
-			}
-			s.counts[id] += c
-			for ; c > 0; c-- {
-				dst[i] = uint8(id)
-				i++
-			}
-		}
-		if i != n {
-			panic(fmt.Sprintf("numa: policy accounted %d of %d pages", i, n))
-		}
-	default:
-		for i := range dst {
-			id := s.policy.Next()
-			if id < 0 || id >= len(s.nodes) {
-				panic(fmt.Sprintf("numa: policy returned invalid node %d", id))
-			}
-			dst[i] = uint8(id)
-			s.counts[id]++
-		}
-	}
+	s.policy.PlaceN(s.pages[first:], s.counts)
 	if s.byNode != nil {
 		s.indexPages(first)
 	}
@@ -612,17 +305,9 @@ func (s *Space) Alloc(n int) int {
 // Pages returns the number of allocated pages.
 func (s *Space) Pages() int { return len(s.pages) }
 
-// Bytes returns the allocated bytes.
-func (s *Space) Bytes() int64 { return int64(len(s.pages)) * PageBytes }
-
 // NodeOfPage returns the node holding page i.
 func (s *Space) NodeOfPage(i int) int {
 	return int(s.pages[i])
-}
-
-// NodeOfAddr returns the node holding the byte address (addresses start at 0).
-func (s *Space) NodeOfAddr(addr uint64) int {
-	return s.NodeOfPage(int(addr / PageBytes))
 }
 
 // Fraction returns the fraction of pages on the given node (0 when empty).
@@ -699,9 +384,4 @@ func (s *Space) AppendPagesOnNode(dst []int, node int) []int {
 		dst = append(dst, int(p))
 	}
 	return dst
-}
-
-// PagesOnNode returns the indices of every page on the given node.
-func (s *Space) PagesOnNode(node int) []int {
-	return s.AppendPagesOnNode(nil, node)
 }

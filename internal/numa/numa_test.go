@@ -2,6 +2,7 @@ package numa
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -13,43 +14,21 @@ func twoNodes() []*Node {
 	}
 }
 
+// PagesOnNode returns the indices of every page on the given node.
+func (s *Space) PagesOnNode(node int) []int {
+	return s.AppendPagesOnNode(nil, node)
+}
+
+// TestMembind pins the stand-in for numactl --membind: a 100 % split places
+// every page on the CXL node.
 func TestMembind(t *testing.T) {
-	s := NewSpace(twoNodes(), &Membind{Node: 1})
+	s := NewSpace(twoNodes(), NewDDRCXLSplit(100))
 	s.Alloc(100)
 	if s.PagesOn(1) != 100 || s.PagesOn(0) != 0 {
 		t.Errorf("membind placed pages on wrong node: DDR=%d CXL=%d", s.PagesOn(0), s.PagesOn(1))
 	}
 	if s.Fraction(1) != 1 {
 		t.Errorf("fraction = %v", s.Fraction(1))
-	}
-}
-
-func TestPreferredSpillsOver(t *testing.T) {
-	nodes := []*Node{
-		{ID: 0, Name: "DDR5-L", CapacityPages: 10},
-		{ID: 1, Name: "CXL-A"},
-	}
-	p := NewPreferred(nodes)
-	s := NewSpace(nodes, p)
-	s.Alloc(25)
-	if s.PagesOn(0) != 10 {
-		t.Errorf("preferred node got %d pages, want 10", s.PagesOn(0))
-	}
-	if s.PagesOn(1) != 15 {
-		t.Errorf("fallback node got %d pages, want 15", s.PagesOn(1))
-	}
-}
-
-func TestPreferredOvercommitsLastNode(t *testing.T) {
-	nodes := []*Node{
-		{ID: 0, Name: "a", CapacityPages: 1},
-		{ID: 1, Name: "b", CapacityPages: 1},
-	}
-	p := NewPreferred(nodes)
-	s := NewSpace(nodes, p)
-	s.Alloc(5)
-	if s.PagesOn(0) != 1 || s.PagesOn(1) != 4 {
-		t.Errorf("overcommit distribution: %d/%d", s.PagesOn(0), s.PagesOn(1))
 	}
 }
 
@@ -156,18 +135,23 @@ func TestWeightedSplitProperty(t *testing.T) {
 }
 
 func TestSpaceAddressMapping(t *testing.T) {
-	s := NewSpace(twoNodes(), &Membind{Node: 1})
-	s.Alloc(4)
-	if s.Pages() != 4 || s.Bytes() != 4*PageBytes {
-		t.Errorf("pages=%d bytes=%d", s.Pages(), s.Bytes())
+	s := NewSpace(twoNodes(), NewDDRCXLSplit(100))
+	if first := s.Alloc(4); first != 0 {
+		t.Errorf("first page = %d, want 0", first)
 	}
-	if s.NodeOfAddr(0) != 1 || s.NodeOfAddr(3*PageBytes+17) != 1 {
-		t.Error("address mapping wrong")
+	if first := s.Alloc(3); first != 4 {
+		t.Errorf("second batch starts at page %d, want 4", first)
+	}
+	if s.Pages() != 7 {
+		t.Errorf("pages=%d", s.Pages())
+	}
+	if s.NodeOfPage(0) != 1 || s.NodeOfPage(6) != 1 {
+		t.Error("page mapping wrong")
 	}
 }
 
 func TestSpaceMove(t *testing.T) {
-	s := NewSpace(twoNodes(), &Membind{Node: 1})
+	s := NewSpace(twoNodes(), NewDDRCXLSplit(100))
 	s.Alloc(10)
 	s.Move(3, 0)
 	if s.NodeOfPage(3) != 0 {
@@ -217,18 +201,18 @@ func TestPagesOnNode(t *testing.T) {
 
 func TestSpaceValidation(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"no nodes":    func() { NewSpace(nil, &Membind{}) },
-		"sparse ids":  func() { NewSpace([]*Node{{ID: 5}}, &Membind{}) },
-		"nil policy":  func() { NewSpace(twoNodes(), nil) },
-		"neg alloc":   func() { s := NewSpace(twoNodes(), &Membind{}); s.Alloc(-1) },
-		"bad move":    func() { s := NewSpace(twoNodes(), &Membind{}); s.Alloc(1); s.Move(0, 7) },
-		"bad policy":  func() { s := NewSpace(twoNodes(), &Membind{Node: 9}); s.Alloc(1) },
-		"set nil pol": func() { s := NewSpace(twoNodes(), &Membind{}); s.SetPolicy(nil) },
+		"no nodes":   func() { NewSpace(nil, NewDDRCXLSplit(0)) },
+		"sparse ids": func() { NewSpace([]*Node{{ID: 5}}, NewDDRCXLSplit(0)) },
+		"nil policy": func() { NewSpace(twoNodes(), nil) },
+		"neg alloc":  func() { s := NewSpace(twoNodes(), NewDDRCXLSplit(0)); s.Alloc(-1) },
+		"bad move":   func() { s := NewSpace(twoNodes(), NewDDRCXLSplit(0)); s.Alloc(1); s.Move(0, 7) },
+		"bad policy": func() { s := NewSpace(twoNodes(), NewWeighted([]float64{1, 1, 1})); s.Alloc(1) },
 	} {
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: expected panic", name)
+				// Every misuse gets a named panic, not a runtime fault.
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, "numa: ") {
+					t.Errorf("%s: expected a named numa panic, got %q", name, msg)
 				}
 			}()
 			fn()
@@ -237,14 +221,14 @@ func TestSpaceValidation(t *testing.T) {
 }
 
 func TestFractionEmptySpace(t *testing.T) {
-	s := NewSpace(twoNodes(), &Membind{})
+	s := NewSpace(twoNodes(), NewDDRCXLSplit(0))
 	if s.Fraction(0) != 0 {
 		t.Error("empty space fraction should be 0")
 	}
 }
 
-// refWeighted mirrors a Weighted policy step by step through the public
-// page-at-a-time interface; the bulk paths must reproduce it exactly.
+// refCounts steps a Weighted policy page at a time through Next and returns
+// the per-node totals; the bulk path must reproduce it exactly.
 func refCounts(w *Weighted, nodes, n int) []int64 {
 	counts := make([]int64, nodes)
 	for i := 0; i < n; i++ {
@@ -269,55 +253,6 @@ func TestWeightedTieBreakDeterminism(t *testing.T) {
 	for i, wi := range want {
 		if got := w.Next(); got != wi {
 			t.Fatalf("2:1 step %d: got node %d, want %d", i, got, wi)
-		}
-	}
-}
-
-func TestWeightedNextNMatchesNext(t *testing.T) {
-	// Property: NextN(n) produces exactly the per-node counts of n
-	// sequential Next() calls, from any reachable state, for random weight
-	// vectors — the closed form and the scheduler are the same algorithm.
-	rng := newTestRng(42)
-	for trial := 0; trial < 300; trial++ {
-		nodes := 1 + int(rng.next()%6)
-		weights := make([]float64, nodes)
-		sum := 0.0
-		for i := range weights {
-			if rng.next()%5 == 0 {
-				weights[i] = 0 // zero-weight nodes must never be chosen
-			} else {
-				weights[i] = float64(1 + rng.next()%1000)
-			}
-			sum += weights[i]
-		}
-		if sum == 0 {
-			weights[0] = 3
-		}
-		a := NewWeighted(weights)
-		b := NewWeighted(weights)
-		// Random warm-up so the batch starts from a mid-schedule state.
-		for i := uint64(0); i < rng.next()%50; i++ {
-			a.Next()
-			b.Next()
-		}
-		for batch := 0; batch < 4; batch++ {
-			n := int(rng.next() % 5000)
-			got := make([]int64, nodes)
-			a.NextN(n, got)
-			want := refCounts(b, nodes, n)
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d weights %v batch %d n=%d: NextN=%v, sequential=%v",
-						trial, weights, batch, n, got, want)
-				}
-			}
-		}
-		// The two schedulers must also land in the same state: their next
-		// picks agree.
-		for i := 0; i < 20; i++ {
-			if ga, gb := a.Next(), b.Next(); ga != gb {
-				t.Fatalf("trial %d: post-batch divergence %d vs %d", trial, ga, gb)
-			}
 		}
 	}
 }
@@ -357,8 +292,7 @@ func TestWeightedRuntimeWeightChangeKeepsPhase(t *testing.T) {
 	// sequential schedulers must still agree across the change.
 	a := NewWeighted([]float64{3, 1})
 	b := NewWeighted([]float64{3, 1})
-	ca := make([]int64, 2)
-	a.NextN(17, ca)
+	a.PlaceN(make([]uint8, 17), make([]int64, 2))
 	refCounts(b, 2, 17)
 	if err := a.SetWeights([]float64{1, 5}); err != nil {
 		t.Fatal(err)
@@ -367,7 +301,7 @@ func TestWeightedRuntimeWeightChangeKeepsPhase(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := make([]int64, 2)
-	a.NextN(1000, got)
+	a.PlaceN(make([]uint8, 1000), got)
 	want := refCounts(b, 2, 1000)
 	if got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("post-SetWeights counts %v != %v", got, want)
@@ -375,27 +309,16 @@ func TestWeightedRuntimeWeightChangeKeepsPhase(t *testing.T) {
 }
 
 func TestSpaceAllocBulkMatchesSequential(t *testing.T) {
-	// Space.Alloc's bulk fill must place the identical per-page sequence a
-	// page-at-a-time policy would, for all three built-in policies.
-	type mk func() (Policy, Policy)
-	cases := map[string]mk{
-		"weighted": func() (Policy, Policy) { return NewDDRCXLSplit(37), NewDDRCXLSplit(37) },
-		"membind":  func() (Policy, Policy) { return &Membind{Node: 1}, &Membind{Node: 1} },
-		"preferred": func() (Policy, Policy) {
-			n := []*Node{{ID: 0, Name: "a", CapacityPages: 100}, {ID: 1, Name: "b"}}
-			return NewPreferred(n), NewPreferred(n)
-		},
+	// Space.Alloc's bulk fill must place the identical per-page sequence
+	// the page-at-a-time Next would, across batch boundaries.
+	bulk := NewSpace(twoNodes(), NewDDRCXLSplit(37))
+	seq := NewDDRCXLSplit(37)
+	for _, n := range []int{1, 7, 250, 0, 64} {
+		bulk.Alloc(n)
 	}
-	for name, make2 := range cases {
-		bulkPol, seqPol := make2()
-		bulk := NewSpace(twoNodes(), bulkPol)
-		for _, n := range []int{1, 7, 250, 0, 64} {
-			bulk.Alloc(n)
-		}
-		for i := 0; i < bulk.Pages(); i++ {
-			if got, want := bulk.NodeOfPage(i), seqPol.Next(); got != want {
-				t.Fatalf("%s: page %d on node %d, sequential policy says %d", name, i, got, want)
-			}
+	for i := 0; i < bulk.Pages(); i++ {
+		if got, want := bulk.NodeOfPage(i), seq.Next(); got != want {
+			t.Fatalf("page %d on node %d, sequential policy says %d", i, got, want)
 		}
 	}
 }

@@ -183,7 +183,7 @@ type Provenance struct {
 	Quick bool
 	// Seed is the stochastic seed the run used.
 	Seed uint64
-	// Fidelity records a non-exact measurement tier ("auto" or "fast");
+	// Fidelity records a non-exact measurement tier ("fast");
 	// empty means exact simulation, so pre-fidelity datasets and the wire
 	// bytes of every exact run are unchanged.
 	Fidelity string

@@ -47,22 +47,24 @@ func TestPprofEnabledBypassesAdmission(t *testing.T) {
 
 // TestFidelityParameter pins the fidelity= request knob: it reaches the
 // experiment layer (provenance label on a fidelity-consuming experiment)
-// and rejects unknown tiers with a 400.
+// and rejects unknown tiers, the retired "auto" among them, with a 400.
 func TestFidelityParameter(t *testing.T) {
 	ts := testServer(t)
-	status, _, body := get(t, ts, "/v1/run?id=fig5&fidelity=auto")
+	status, _, body := get(t, ts, "/v1/run?id=fig5&fidelity=fast")
 	if status != http.StatusOK {
-		t.Fatalf("fidelity=auto: status %d (%s)", status, strings.TrimSpace(body))
+		t.Fatalf("fidelity=fast: status %d (%s)", status, strings.TrimSpace(body))
 	}
 	d, err := results.ParseJSON([]byte(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Prov.Fidelity != "auto" {
-		t.Errorf("served provenance fidelity = %q, want auto", d.Prov.Fidelity)
+	if d.Prov.Fidelity != "fast" {
+		t.Errorf("served provenance fidelity = %q, want fast", d.Prov.Fidelity)
 	}
 
-	if status, _, body := get(t, ts, "/v1/run?id=fig5&fidelity=approximate"); status != http.StatusBadRequest {
-		t.Errorf("bad fidelity: status %d (%s), want 400", status, strings.TrimSpace(body))
+	for _, bad := range []string{"approximate", "auto"} {
+		if status, _, body := get(t, ts, "/v1/run?id=fig5&fidelity="+bad); status != http.StatusBadRequest {
+			t.Errorf("fidelity=%s: status %d (%s), want 400", bad, status, strings.TrimSpace(body))
+		}
 	}
 }

@@ -24,7 +24,7 @@
 //
 // Shared query parameters on /v1/run and /v1/scenario: format (text|json|
 // csv, default json — it is a query daemon), platform, quick, fidelity
-// (exact|auto|fast, the measurement tier of the cache-simulating
+// (exact|fast, the measurement tier of the cache-simulating
 // experiments), seed, timeout. Request knobs override the server's base
 // options; the sweep worker count stays a server-side setting so clients
 // cannot oversubscribe the host, and a request timeout can only lower the
@@ -147,12 +147,6 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("/debug/pprof/trace", httppprof.Trace)
 	}
 	return recoverMiddleware(mux)
-}
-
-// Handler returns the cxlserve HTTP API with no admission bound or deadline
-// — the PR-5 construction, kept for callers that harden elsewhere.
-func Handler(base experiments.Options) http.Handler {
-	return NewServer(Config{Base: base}).Handler()
 }
 
 // Drain moves the server into shutdown mode: /healthz turns 503 so load

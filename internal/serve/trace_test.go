@@ -6,10 +6,22 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"cxlmem/internal/telemetry"
 )
+
+// traceSeeds hands every priming run a seed no earlier run in this process
+// used. The process-wide dataset memo serves a repeated key without running
+// the scheduler, so under -count > 1 a reused seed would leave the freshly
+// reset ring empty.
+var traceSeeds atomic.Uint64
+
+// timelineRun is a /v1/run path for a tpp-timeline run on a fresh seed.
+func timelineRun() string {
+	return fmt.Sprintf("/v1/run?id=tpp-timeline&seed=%d", 1000+traceSeeds.Add(1))
+}
 
 // traceBody decodes one /v1/trace response.
 func traceBody(t *testing.T, body string) traceResponse {
@@ -29,7 +41,7 @@ func traceBody(t *testing.T, body string) traceResponse {
 func TestTraceEndpoint(t *testing.T) {
 	telemetry.Sim.Reset()
 	ts := testServer(t)
-	if status, _, body := get(t, ts, "/v1/run?id=tpp-timeline"); status != http.StatusOK {
+	if status, _, body := get(t, ts, timelineRun()); status != http.StatusOK {
 		t.Fatalf("priming run = %d: %s", status, body)
 	}
 
@@ -101,7 +113,7 @@ func TestTraceEndpointErrors(t *testing.T) {
 func TestTraceMetrics(t *testing.T) {
 	telemetry.Sim.Reset()
 	ts := testServer(t)
-	if status, _, body := get(t, ts, "/v1/run?id=tpp-timeline&seed=5"); status != http.StatusOK {
+	if status, _, body := get(t, ts, timelineRun()); status != http.StatusOK {
 		t.Fatalf("priming run = %d: %s", status, body)
 	}
 	status, _, body := get(t, ts, "/metrics")
@@ -139,7 +151,7 @@ func TestTraceConcurrentWithRuns(t *testing.T) {
 	paths := make([]string, 0, 16)
 	for i := 0; i < 4; i++ {
 		paths = append(paths,
-			fmt.Sprintf("/v1/run?id=tpp-timeline&seed=%d", 100+i),
+			timelineRun(),
 			"/v1/trace",
 			"/v1/trace?limit=10",
 			"/metrics",

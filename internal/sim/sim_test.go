@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestTimeConversions(t *testing.T) {
@@ -53,12 +52,6 @@ func TestFromNanosecondsRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestFromDuration(t *testing.T) {
-	if got := FromDuration(3 * time.Microsecond); got != 3*Microsecond {
-		t.Errorf("FromDuration(3us) = %v", got)
 	}
 }
 

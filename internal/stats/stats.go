@@ -85,35 +85,6 @@ func GeoMean(values []float64) float64 {
 	return math.Exp(sumLog / float64(len(values)))
 }
 
-// CDFPoint is one step of an empirical cumulative distribution function.
-type CDFPoint struct {
-	Value    float64 // sample value
-	Fraction float64 // fraction of samples <= Value, in (0, 1]
-}
-
-// CDF computes the empirical CDF of values, optionally truncated at the
-// maxFraction quantile (the paper's Fig. 7 shows the distribution "up to the
-// p99 latency", i.e. maxFraction = 0.99). Pass maxFraction = 1 for the whole
-// distribution.
-func CDF(values []float64, maxFraction float64) []CDFPoint {
-	if len(values) == 0 {
-		return nil
-	}
-	sorted := make([]float64, len(values))
-	copy(sorted, values)
-	sort.Float64s(sorted)
-	var out []CDFPoint
-	n := float64(len(sorted))
-	for i, v := range sorted {
-		f := float64(i+1) / n
-		if f > maxFraction {
-			break
-		}
-		out = append(out, CDFPoint{Value: v, Fraction: f})
-	}
-	return out
-}
-
 // Pearson returns the Pearson correlation coefficient between x and y.
 // The paper uses it to quantify synchrony between the Caption estimator's
 // output and the measured throughput time series (§6.2, Fig. 12).

@@ -119,39 +119,6 @@ func TestMeanAndGeoMean(t *testing.T) {
 	GeoMean([]float64{1, 0})
 }
 
-func TestCDF(t *testing.T) {
-	points := CDF([]float64{4, 1, 3, 2}, 1)
-	if len(points) != 4 {
-		t.Fatalf("CDF returned %d points", len(points))
-	}
-	wantVals := []float64{1, 2, 3, 4}
-	for i, p := range points {
-		if p.Value != wantVals[i] {
-			t.Errorf("point %d value = %v, want %v", i, p.Value, wantVals[i])
-		}
-		if wantFrac := float64(i+1) / 4; p.Fraction != wantFrac {
-			t.Errorf("point %d fraction = %v, want %v", i, p.Fraction, wantFrac)
-		}
-	}
-}
-
-func TestCDFTruncation(t *testing.T) {
-	vals := make([]float64, 1000)
-	for i := range vals {
-		vals[i] = float64(i)
-	}
-	points := CDF(vals, 0.99)
-	if len(points) != 990 {
-		t.Errorf("CDF truncated at %d points, want 990", len(points))
-	}
-	if points[len(points)-1].Fraction > 0.99 {
-		t.Errorf("last fraction %v exceeds 0.99", points[len(points)-1].Fraction)
-	}
-	if CDF(nil, 1) != nil {
-		t.Error("CDF(nil) should be nil")
-	}
-}
-
 func TestPearsonPerfectCorrelation(t *testing.T) {
 	x := []float64{1, 2, 3, 4, 5}
 	y := []float64{2, 4, 6, 8, 10}

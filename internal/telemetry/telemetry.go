@@ -43,23 +43,6 @@ func (s Sample) Features() []float64 {
 	return []float64{s.L1MissLatencyNS, s.DDRReadLatencyNS, s.IPC}
 }
 
-// FeatureNames returns the Table-4 metric names, aligned with Features.
-func FeatureNames() []string {
-	return []string{"L1 miss latency", "DDR read latency", "IPC"}
-}
-
-// Source produces counter samples; the workload simulators implement it.
-type Source interface {
-	// Counters returns the current counter values.
-	Counters() Sample
-}
-
-// SourceFunc adapts a function to the Source interface.
-type SourceFunc func() Sample
-
-// Counters implements Source.
-func (f SourceFunc) Counters() Sample { return f() }
-
 // Sampler smooths a counter stream with per-field moving averages, matching
 // Caption's "moving average of the past 5 samples for each counter" (§6.1).
 type Sampler struct {

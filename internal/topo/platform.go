@@ -11,7 +11,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // Platform is one registered machine profile: a named, described Spec.
@@ -33,14 +32,13 @@ var (
 	platformMu    sync.RWMutex
 	platforms     = map[string]Platform{}
 	platformHooks []func(name string)
-	platformEpoch atomic.Uint64
 )
 
 // RegisterPlatform adds a platform under its name. It panics on duplicates,
 // invalid names or unbuildable specs — registration happens in init and a
 // broken profile is a programming error, matching the workload registry.
-// Each successful registration bumps the registry epoch and notifies the
-// OnPlatformChange hooks, so dependent caches can invalidate.
+// Each successful registration notifies the OnPlatformChange hooks, so
+// dependent caches can invalidate.
 func RegisterPlatform(p Platform) {
 	if p.Name == "" || p.Name != strings.ToLower(p.Name) {
 		panic(fmt.Sprintf("topo: invalid platform name %q (must be non-empty lowercase)", p.Name))
@@ -54,7 +52,6 @@ func RegisterPlatform(p Platform) {
 		panic("topo: duplicate platform " + p.Name)
 	}
 	platforms[p.Name] = p
-	platformEpoch.Add(1)
 	hooks := append([]func(name string){}, platformHooks...)
 	platformMu.Unlock()
 	// Hooks run outside the lock so they may read the registry.
@@ -72,11 +69,6 @@ func OnPlatformChange(fn func(name string)) {
 	defer platformMu.Unlock()
 	platformHooks = append(platformHooks, fn)
 }
-
-// PlatformEpoch counts registry mutations since process start. A consumer
-// holding results derived from the registry can compare epochs to detect
-// staleness without subscribing to OnPlatformChange.
-func PlatformEpoch() uint64 { return platformEpoch.Load() }
 
 // PlatformByName returns the registered platform with the given name.
 func PlatformByName(name string) (Platform, error) {

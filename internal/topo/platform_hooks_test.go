@@ -3,11 +3,10 @@ package topo
 import "testing"
 
 // TestPlatformChangeNotification pins the cache-invalidation contract of
-// the registry: a successful RegisterPlatform bumps the epoch and calls
-// every OnPlatformChange hook with the new profile's name, outside the
+// the registry: a successful RegisterPlatform calls every OnPlatformChange
+// hook with the new profile's name, outside the
 // registry lock (the hook below reads the registry to prove it).
 func TestPlatformChangeNotification(t *testing.T) {
-	before := PlatformEpoch()
 	var got []string
 	OnPlatformChange(func(name string) {
 		// Reading the registry from inside a hook must not deadlock.
@@ -21,9 +20,6 @@ func TestPlatformChangeNotification(t *testing.T) {
 		Desc: "registered by TestPlatformChangeNotification",
 		Spec: Table1Spec(),
 	})
-	if PlatformEpoch() != before+1 {
-		t.Errorf("epoch = %d after one registration, want %d", PlatformEpoch(), before+1)
-	}
 	if len(got) != 1 || got[0] != "hook-probe" {
 		t.Errorf("hook calls = %v, want [hook-probe]", got)
 	}
@@ -33,9 +29,6 @@ func TestPlatformChangeNotification(t *testing.T) {
 		defer func() { recover() }()
 		RegisterPlatform(Platform{Name: "hook-probe", Spec: Table1Spec()})
 	}()
-	if PlatformEpoch() != before+1 {
-		t.Error("failed registration bumped the epoch")
-	}
 	if len(got) != 1 {
 		t.Errorf("failed registration ran hooks: %v", got)
 	}

@@ -64,16 +64,6 @@ var (
 // Profiles returns the evaluated benchmarks in paper order.
 func Profiles() []Profile { return []Profile{Fotonik3d, Mcf, Roms, CactuBSSN} }
 
-// ByName looks up a profile.
-func ByName(name string) (Profile, error) {
-	for _, p := range Profiles() {
-		if p.Name == name {
-			return p, nil
-		}
-	}
-	return Profile{}, fmt.Errorf("spec: unknown benchmark %q", name)
-}
-
 // hitRate mirrors the DLRM footprint model (fluid.FootprintHitRate).
 func (p Profile) hitRate(capacityBytes int64) float64 {
 	return fluid.FootprintHitRate(capacityBytes, p.HotBytes, p.ColdBytes, p.HotFraction)

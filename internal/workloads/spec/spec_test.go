@@ -13,10 +13,10 @@ func TestProfilesLookup(t *testing.T) {
 	if len(Profiles()) != 4 {
 		t.Fatal("expected 4 profiles")
 	}
-	if _, err := ByName("mcf"); err != nil {
-		t.Error(err)
+	if m, err := MixByName("mcf", 1); err != nil || m[0].Profile != Mcf {
+		t.Errorf("MixByName(mcf) = %v, %v", m, err)
 	}
-	if _, err := ByName("perlbench"); err == nil {
+	if _, err := MixByName("perlbench", 1); err == nil {
 		t.Error("low-MPKI benchmark should be unknown")
 	}
 }
