@@ -73,7 +73,6 @@ func main() {
 	maxInflight := flag.Int("max-inflight", 4*runtime.GOMAXPROCS(0), "max concurrently admitted compute requests (0 = unlimited)")
 	maxQueue := flag.Int("max-queue", 64, "requests allowed to wait for an admission slot before shedding 429")
 	cacheEntries := flag.Int("cache-entries", 1024, "entry budget per memo cache, evicted cold-first (0 = unbounded)")
-	cacheTTL := flag.Duration("cache-ttl", 0, "expire cached results this long after computation (0 = never)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
 	pprofFlag := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ (bypasses admission control; trusted networks only)")
 	traceCap := flag.Int("trace-cap", 4096, "events retained in the discrete-event trace ring served by /v1/trace")
@@ -83,6 +82,17 @@ func main() {
 	snapshotSave := flag.String("snapshot-save", "", "write a dataset-cache snapshot here at shutdown (and every -snapshot-interval)")
 	snapshotInterval := flag.Duration("snapshot-interval", 0, "also snapshot periodically while serving (0 = only at shutdown; needs -snapshot-save)")
 	flag.Parse()
+
+	// A flag that only qualifies another is an error on its own, not a
+	// silent no-op.
+	if *snapshotInterval != 0 && *snapshotSave == "" {
+		fmt.Fprintln(os.Stderr, "cxlserve: -snapshot-interval needs -snapshot-save")
+		os.Exit(1)
+	}
+	if *selfAddr != "" && *peers == "" {
+		fmt.Fprintln(os.Stderr, "cxlserve: -self names this replica in a ring; it needs -peers")
+		os.Exit(1)
+	}
 
 	opts := experiments.DefaultOptions()
 	opts.Quick = *quick
@@ -95,7 +105,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "cxlserve:", err)
 		os.Exit(1)
 	}
-	experiments.ConfigureCaches(memo.CacheConfig{MaxEntries: *cacheEntries, TTL: *cacheTTL})
+	experiments.ConfigureCaches(memo.CacheConfig{MaxEntries: *cacheEntries})
 	telemetry.Sim.Configure(*traceCap)
 
 	// Warm start: restore the dataset cache before the listener opens so the
@@ -146,7 +156,7 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-	if *snapshotSave != "" && *snapshotInterval > 0 {
+	if *snapshotInterval > 0 {
 		go func() {
 			tick := time.NewTicker(*snapshotInterval)
 			defer tick.Stop()

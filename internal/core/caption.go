@@ -276,14 +276,3 @@ func (c *Controller) Ratio() float64 { return c.tuner.Ratio() }
 func (c *Controller) History() (states, ratios []float64) {
 	return append([]float64(nil), c.states...), append([]float64(nil), c.ratios...)
 }
-
-// Synchrony computes the Pearson correlation between the model's output
-// history and an externally measured throughput series of equal length —
-// the validation metric of Fig. 12 ("Algorithm 1 depends on precisely
-// determining only the direction of performance changes").
-func (c *Controller) Synchrony(throughput []float64) float64 {
-	if len(throughput) != len(c.states) || len(c.states) == 0 {
-		panic(fmt.Sprintf("core: synchrony needs %d throughput points", len(c.states)))
-	}
-	return stats.Pearson(c.states, throughput)
-}

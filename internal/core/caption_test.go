@@ -267,6 +267,9 @@ func TestControllerStepAppliesRatio(t *testing.T) {
 	}
 }
 
+// TestControllerSynchrony: the model output history tracks the throughput
+// series (Fig. 12's validation metric, Pearson over the controller's
+// recorded states).
 func TestControllerSynchrony(t *testing.T) {
 	model := &stats.LinearModel{Intercept: 0, Coefficients: []float64{0, 0, 1}}
 	ctl := NewController(&Estimator{model: model}, DefaultTunerConfig(), func(float64) error { return nil })
@@ -278,7 +281,8 @@ func TestControllerSynchrony(t *testing.T) {
 	}
 	// Model output is (a smoothed version of) the throughput: strongly
 	// positive correlation.
-	if p := ctl.Synchrony(throughput); p < 0.9 {
+	states, _ := ctl.History()
+	if p := stats.Pearson(states, throughput); p < 0.9 {
 		t.Errorf("synchrony = %v, want > 0.9", p)
 	}
 }
@@ -288,10 +292,6 @@ func TestControllerPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"nil estimator": func() { NewController(nil, DefaultTunerConfig(), func(float64) error { return nil }) },
 		"nil setter":    func() { NewController(&Estimator{model: model}, DefaultTunerConfig(), nil) },
-		"bad synchrony": func() {
-			c := NewController(&Estimator{model: model}, DefaultTunerConfig(), func(float64) error { return nil })
-			c.Synchrony([]float64{1})
-		},
 	} {
 		func() {
 			defer func() {

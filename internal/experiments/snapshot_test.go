@@ -105,8 +105,8 @@ func TestImportRejectsBadSnapshots(t *testing.T) {
 		if _, err := ImportDatasetCacheInto(fresh, []byte(tc.data)); err == nil {
 			t.Errorf("%s snapshot imported without error", tc.name)
 		}
-		if fresh.Len() != 0 {
-			t.Errorf("%s snapshot left %d entries resident", tc.name, fresh.Len())
+		if n := fresh.Stats().Size; n != 0 {
+			t.Errorf("%s snapshot left %d entries resident", tc.name, n)
 		}
 	}
 }

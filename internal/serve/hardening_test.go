@@ -259,6 +259,22 @@ func TestMetricsEndpoint(t *testing.T) {
 	if strings.Contains(body, `cxlserve_cache_hits_total{cache="dataset"} 0`+"\n") {
 		t.Error("dataset cache hits = 0 after a repeated query")
 	}
+	// The per-cache series set is pinned: adding or dropping one is a
+	// deliberate edit here, not a side effect of a memo.CacheStats change.
+	wantSeries := []string{"hits_total", "misses_total", "evictions_total", "entries", "inflight"}
+	for _, cache := range []string{"dataset", "cell", "warmstate"} {
+		label := fmt.Sprintf("{cache=%q} ", cache)
+		var got []string
+		for _, line := range strings.Split(body, "\n") {
+			name, rest, ok := strings.Cut(line, "{")
+			if ok && strings.HasPrefix(name, "cxlserve_cache_") && strings.HasPrefix("{"+rest, label) {
+				got = append(got, strings.TrimPrefix(name, "cxlserve_cache_"))
+			}
+		}
+		if strings.Join(got, ",") != strings.Join(wantSeries, ",") {
+			t.Errorf("cache %q series = %v, want %v", cache, got, wantSeries)
+		}
+	}
 }
 
 // TestRequestTimeout proves the deadline path end to end: a request with a

@@ -116,8 +116,6 @@ func (s *Server) metricsHandler(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintf(wr, "cxlserve_cache_hits_total{cache=%q} %d\n", c.name, c.st.Hits)
 			fmt.Fprintf(wr, "cxlserve_cache_misses_total{cache=%q} %d\n", c.name, c.st.Misses)
 			fmt.Fprintf(wr, "cxlserve_cache_evictions_total{cache=%q} %d\n", c.name, c.st.Evictions)
-			fmt.Fprintf(wr, "cxlserve_cache_expirations_total{cache=%q} %d\n", c.name, c.st.Expirations)
-			fmt.Fprintf(wr, "cxlserve_cache_invalidations_total{cache=%q} %d\n", c.name, c.st.Invalidations)
 			fmt.Fprintf(wr, "cxlserve_cache_entries{cache=%q} %d\n", c.name, c.st.Size)
 			fmt.Fprintf(wr, "cxlserve_cache_inflight{cache=%q} %d\n", c.name, c.st.InFlight)
 		}

@@ -46,9 +46,6 @@ func (s *Scheduler) Now() Time { return s.clock.Now() }
 // during Handle; because dispatch order is deterministic, so is every draw.
 func (s *Scheduler) Rng() *Rng { return s.rng }
 
-// Pending returns the number of queued, not-yet-dispatched events.
-func (s *Scheduler) Pending() int { return len(s.queue) }
-
 // Stats returns cumulative event counters.
 func (s *Scheduler) Stats() SchedulerStats { return s.stats }
 

@@ -196,8 +196,8 @@ func TestRunUntil(t *testing.T) {
 	if got := s.Stats().Dispatched; got != 2 {
 		t.Fatalf("dispatched %d events, want 2", got)
 	}
-	if s.Pending() != 1 {
-		t.Fatalf("pending %d events, want 1", s.Pending())
+	if n := len(s.queue); n != 1 {
+		t.Fatalf("pending %d events, want 1", n)
 	}
 	if s.Now() != 2*Millisecond {
 		t.Fatalf("clock at %v, want 2ms", s.Now())

@@ -171,25 +171,6 @@ func TestRngExpMean(t *testing.T) {
 	}
 }
 
-func TestRngNormalMoments(t *testing.T) {
-	r := NewRng(13)
-	const n = 200000
-	sum, sumSq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		v := r.Normal(5, 2)
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean-5) > 0.05 {
-		t.Errorf("Normal mean = %v, want ~5", mean)
-	}
-	if math.Abs(variance-4) > 0.15 {
-		t.Errorf("Normal variance = %v, want ~4", variance)
-	}
-}
-
 func TestRngPerm(t *testing.T) {
 	r := NewRng(17)
 	p := r.Perm(100)

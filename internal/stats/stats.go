@@ -147,9 +147,6 @@ func (w *Welford) Variance() float64 {
 	return w.m2 / float64(w.n)
 }
 
-// StdDev returns the population standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
 // MovingAverage keeps the mean of the most recent Window observations.
 // Caption feeds each counter through a 5-sample moving average before the
 // estimator (paper §6.1, M2).

@@ -47,7 +47,6 @@ func (s Sample) Features() []float64 {
 // Caption's "moving average of the past 5 samples for each counter" (§6.1).
 type Sampler struct {
 	l1, ddr, ipc, bw *stats.MovingAverage
-	last             Sample
 	n                int
 }
 
@@ -67,24 +66,12 @@ func NewSampler(window int) *Sampler {
 // Add incorporates a raw sample and returns the smoothed view.
 func (s *Sampler) Add(raw Sample) Sample {
 	s.n++
-	s.last = raw
 	return Sample{
 		L1MissLatencyNS:    s.l1.Add(raw.L1MissLatencyNS),
 		DDRReadLatencyNS:   s.ddr.Add(raw.DDRReadLatencyNS),
 		IPC:                s.ipc.Add(raw.IPC),
 		SystemBandwidthGBs: s.bw.Add(raw.SystemBandwidthGBs),
 		CXLPercent:         raw.CXLPercent,
-	}
-}
-
-// Smoothed returns the current smoothed sample without adding a new one.
-func (s *Sampler) Smoothed() Sample {
-	return Sample{
-		L1MissLatencyNS:    s.l1.Value(),
-		DDRReadLatencyNS:   s.ddr.Value(),
-		IPC:                s.ipc.Value(),
-		SystemBandwidthGBs: s.bw.Value(),
-		CXLPercent:         s.last.CXLPercent,
 	}
 }
 

@@ -39,21 +39,6 @@ func TestSamplerSmoothing(t *testing.T) {
 	}
 }
 
-func TestSamplerSmoothedWithoutAdd(t *testing.T) {
-	s := NewSampler(3)
-	if got := s.Smoothed(); got.L1MissLatencyNS != 0 || got.IPC != 0 {
-		t.Errorf("empty smoothed = %+v", got)
-	}
-	s.Add(Sample{DDRReadLatencyNS: 100, CXLPercent: 25})
-	got := s.Smoothed()
-	if got.DDRReadLatencyNS != 100 {
-		t.Errorf("smoothed DDR latency = %v", got.DDRReadLatencyNS)
-	}
-	if got.CXLPercent != 25 {
-		t.Errorf("CXLPercent should pass through, got %v", got.CXLPercent)
-	}
-}
-
 func TestSamplerPanicsOnBadWindow(t *testing.T) {
 	defer func() {
 		if recover() == nil {

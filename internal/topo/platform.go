@@ -29,16 +29,13 @@ type Platform struct {
 const DefaultPlatform = "table1"
 
 var (
-	platformMu    sync.RWMutex
-	platforms     = map[string]Platform{}
-	platformHooks []func(name string)
+	platformMu sync.RWMutex
+	platforms  = map[string]Platform{}
 )
 
 // RegisterPlatform adds a platform under its name. It panics on duplicates,
 // invalid names or unbuildable specs — registration happens in init and a
 // broken profile is a programming error, matching the workload registry.
-// Each successful registration notifies the OnPlatformChange hooks, so
-// dependent caches can invalidate.
 func RegisterPlatform(p Platform) {
 	if p.Name == "" || p.Name != strings.ToLower(p.Name) {
 		panic(fmt.Sprintf("topo: invalid platform name %q (must be non-empty lowercase)", p.Name))
@@ -47,27 +44,11 @@ func RegisterPlatform(p Platform) {
 		panic(fmt.Sprintf("topo: platform %q does not validate: %v", p.Name, err))
 	}
 	platformMu.Lock()
+	defer platformMu.Unlock()
 	if _, dup := platforms[p.Name]; dup {
-		platformMu.Unlock()
 		panic("topo: duplicate platform " + p.Name)
 	}
 	platforms[p.Name] = p
-	hooks := append([]func(name string){}, platformHooks...)
-	platformMu.Unlock()
-	// Hooks run outside the lock so they may read the registry.
-	for _, fn := range hooks {
-		fn(p.Name)
-	}
-}
-
-// OnPlatformChange registers fn to run after every subsequent successful
-// RegisterPlatform with the registered profile's name. The experiment layer
-// uses it to invalidate memoized results that depend on the registry
-// (DESIGN.md §11); hooks must be safe for concurrent use.
-func OnPlatformChange(fn func(name string)) {
-	platformMu.Lock()
-	defer platformMu.Unlock()
-	platformHooks = append(platformHooks, fn)
 }
 
 // PlatformByName returns the registered platform with the given name.
