@@ -114,12 +114,8 @@ func main() {
 			fail(err)
 		}
 	case *run != "":
-		out, err := cxlmem.RunExperimentIn(*run, cfg, *format)
-		if err != nil {
-			pprof.StopCPUProfile()
-			fail(err)
-		}
-		fmt.Print(out)
+		d, err := cxlmem.RunDataset(*run, cfg)
+		printDataset(d, err, *format)
 	case *scenario == "list":
 		for _, s := range cxlmem.ScenarioWorkloads() {
 			fmt.Printf("%-8s %s\n         variants: %s\n", s.Name, s.Desc, strings.Join(s.Variants, ", "))
@@ -127,19 +123,11 @@ func main() {
 		fmt.Println("\ncatalog (EXPERIMENTS.md form):")
 		fmt.Print(cxlmem.ScenarioCatalog())
 	case *scenario == "all":
-		out, err := runMatrix(cfg, *format, *remote)
-		if err != nil {
-			pprof.StopCPUProfile()
-			fail(err)
-		}
-		fmt.Print(out)
+		d, err := runMatrix(cfg, *remote)
+		printDataset(d, err, *format)
 	case *scenario != "":
-		out, err := runScenario(*scenario, cfg, *format, *remote)
-		if err != nil {
-			pprof.StopCPUProfile()
-			fail(err)
-		}
-		fmt.Print(out)
+		d, err := runScenario(*scenario, cfg, *remote)
+		printDataset(d, err, *format)
 	default:
 		flag.Usage()
 		os.Exit(2)
@@ -182,7 +170,11 @@ func runAll(cfg cxlmem.RunConfig, format string) error {
 				if i >= len(infos) {
 					return
 				}
-				results[i].out, results[i].err = cxlmem.RunExperimentIn(infos[i].ID, cfg, format)
+				d, err := cxlmem.RunDataset(infos[i].ID, cfg)
+				if err == nil {
+					results[i].out, err = cxlmem.Emit(d, format)
+				}
+				results[i].err = err
 				close(results[i].done)
 			}
 		}()
@@ -198,23 +190,37 @@ func runAll(cfg cxlmem.RunConfig, format string) error {
 	return nil
 }
 
+// printDataset prints a run's dataset in the named format, or exits 1 with
+// the run's error or the emitter's.
+func printDataset(d *cxlmem.Dataset, err error, format string) {
+	var out string
+	if err == nil {
+		out, err = cxlmem.Emit(d, format)
+	}
+	if err != nil {
+		pprof.StopCPUProfile()
+		fail(err)
+	}
+	fmt.Print(out)
+}
+
 // runMatrix evaluates the full matrix locally, or — with -remote — sharded
-// across a cxlserve fleet by canonical cell key. The output is
+// across a cxlserve fleet by canonical cell key. The dataset is
 // byte-identical either way; remote dispatch only changes where the cells
 // compute and whose caches warm up.
-func runMatrix(cfg cxlmem.RunConfig, format, remote string) (string, error) {
+func runMatrix(cfg cxlmem.RunConfig, remote string) (*cxlmem.Dataset, error) {
 	if remote == "" {
-		return cxlmem.RunScenarioMatrixIn(cfg, format)
+		return cxlmem.RunScenarioMatrixDataset(cfg)
 	}
-	return cxlmem.RunRemoteScenarioMatrixIn(splitPeers(remote), cfg, format)
+	return cxlmem.RunRemoteScenarioMatrixDataset(splitPeers(remote), cfg)
 }
 
 // runScenario evaluates one cell locally or on the replica owning its key.
-func runScenario(spec string, cfg cxlmem.RunConfig, format, remote string) (string, error) {
+func runScenario(spec string, cfg cxlmem.RunConfig, remote string) (*cxlmem.Dataset, error) {
 	if remote == "" {
-		return cxlmem.RunScenarioIn(spec, cfg, format)
+		return cxlmem.RunScenarioDataset(spec, cfg)
 	}
-	return cxlmem.RunRemoteScenarioIn(spec, splitPeers(remote), cfg, format)
+	return cxlmem.RunRemoteScenarioDataset(spec, splitPeers(remote), cfg)
 }
 
 // splitPeers splits the -remote flag's comma-separated replica list; the

@@ -53,6 +53,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"strings"
 	"syscall"
 	"time"
 
@@ -97,7 +98,9 @@ func main() {
 	opts := experiments.DefaultOptions()
 	opts.Quick = *quick
 	opts.Parallel = *parallel
-	opts.Platform = *platform
+	// Registry names are lowercase; accept the same spellings as the
+	// platform= query parameter and cxlbench -platform.
+	opts.Platform = strings.ToLower(*platform)
 	if *seed != 0 {
 		opts.Seed = *seed
 	}

@@ -10,10 +10,10 @@
 //
 // Quick start:
 //
-//	sys := cxlmem.NewSystem()                   // paper §5 setup: SNC on, 2 DDR ch + CXL
-//	out, err := cxlmem.RunExperiment("fig3")    // regenerate a figure
-//	fmt.Print(out)
-//	out, err = cxlmem.RunScenario("ycsb:readmostly/policy=weighted:85,15", cxlmem.RunConfig{})
+//	sys := cxlmem.NewSystem()                                // paper §5 setup: SNC on, 2 DDR ch + CXL
+//	d, err := cxlmem.RunDataset("fig3", cxlmem.RunConfig{})  // regenerate a figure
+//	out, err := cxlmem.Emit(d, "text")                       // render it: text, json or csv
+//	d, err = cxlmem.RunScenarioDataset("ycsb:readmostly/policy=weighted:85,15", cxlmem.RunConfig{})
 package cxlmem
 
 import (
@@ -100,7 +100,7 @@ func PlatformCatalog() string { return topo.PlatformCatalog() }
 
 // ExperimentInfo describes one reproducible table or figure.
 type ExperimentInfo struct {
-	// ID is the identifier accepted by RunExperiment ("fig3", "table1", ...).
+	// ID is the identifier accepted by RunDataset ("fig3", "table1", ...).
 	ID string
 	// Desc is a one-line description.
 	Desc string
@@ -137,12 +137,6 @@ type RunConfig struct {
 	Fidelity string
 }
 
-// RunExperiment regenerates the table or figure with the given ID at full
-// fidelity and returns its text rendering.
-func RunExperiment(id string) (string, error) {
-	return RunExperimentIn(id, RunConfig{}, "")
-}
-
 // options converts a RunConfig into the experiment layer's option set.
 func (cfg RunConfig) options() experiments.Options {
 	opts := experiments.DefaultOptions()
@@ -161,16 +155,6 @@ func (cfg RunConfig) options() experiments.Options {
 	return opts
 }
 
-// RunExperimentIn regenerates one experiment and renders it in the named
-// format ("text", "json", "csv"; empty means text).
-func RunExperimentIn(id string, cfg RunConfig, format string) (string, error) {
-	d, err := RunDataset(id, cfg)
-	if err != nil {
-		return "", err
-	}
-	return results.Emit(d, format)
-}
-
 // RunDataset regenerates one experiment as a typed dataset, memoized
 // process-wide: repeated calls for the same (id, options) — including
 // re-emitting one run in several formats — evaluate the experiment once.
@@ -181,7 +165,7 @@ func RunDataset(id string, cfg RunConfig) (*Dataset, error) {
 
 // ScenarioInfo describes one registered workload of the scenario engine.
 type ScenarioInfo struct {
-	// Name is the spec head accepted by RunScenario ("ycsb", "dlrm", ...).
+	// Name is the spec head accepted by RunScenarioDataset ("ycsb", "dlrm", ...).
 	Name string
 	// Desc is a one-line description.
 	Desc string
@@ -193,7 +177,7 @@ type ScenarioInfo struct {
 func ScenarioWorkloads() []ScenarioInfo {
 	var out []ScenarioInfo
 	for _, w := range workloads.All() {
-		out = append(out, ScenarioInfo{Name: w.Name(), Desc: w.Desc(), Variants: w.Variants()})
+		out = append(out, ScenarioInfo{Name: w.Name, Desc: w.Desc, Variants: w.Variants})
 	}
 	return out
 }
@@ -201,24 +185,6 @@ func ScenarioWorkloads() []ScenarioInfo {
 // ScenarioCatalog renders the registry as the markdown catalog embedded in
 // EXPERIMENTS.md.
 func ScenarioCatalog() string { return workloads.Catalog() }
-
-// RunScenario evaluates one scenario spec (see internal/workloads: e.g.
-// "ycsb:readmostly/policy=weighted:85,15/size=4G") and returns its text
-// rendering — one row per metric. Results are memoized per process, so
-// re-evaluating a cell is free.
-func RunScenario(spec string, cfg RunConfig) (string, error) {
-	return RunScenarioIn(spec, cfg, "")
-}
-
-// RunScenarioIn evaluates one scenario spec and renders it in the named
-// format ("text", "json", "csv"; empty means text).
-func RunScenarioIn(spec string, cfg RunConfig, format string) (string, error) {
-	d, err := RunScenarioDataset(spec, cfg)
-	if err != nil {
-		return "", err
-	}
-	return results.Emit(d, format)
-}
 
 // RunScenarioDataset evaluates one scenario spec as a typed dataset: the
 // cell's full metric list, one row per metric, with the canonical spec in
@@ -229,22 +195,6 @@ func RunScenarioDataset(spec string, cfg RunConfig) (*Dataset, error) {
 		return nil, err
 	}
 	return experiments.ScenarioResult(cfg.options(), sc)
-}
-
-// RunScenarioMatrix evaluates the full scenario cross product — the union
-// of the matrix-apps, matrix-policy, matrix-size and matrix-platform cells —
-// through the parallel sweep engine and returns one combined text table.
-func RunScenarioMatrix(cfg RunConfig) (string, error) {
-	return RunScenarioMatrixIn(cfg, "")
-}
-
-// RunScenarioMatrixIn is RunScenarioMatrix rendered in the named format.
-func RunScenarioMatrixIn(cfg RunConfig, format string) (string, error) {
-	d, err := RunScenarioMatrixDataset(cfg)
-	if err != nil {
-		return "", err
-	}
-	return results.Emit(d, format)
 }
 
 // RunScenarioMatrixDataset evaluates the full scenario cross product as one

@@ -1,6 +1,7 @@
 package cxlmem
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -9,13 +10,27 @@ import (
 	"cxlmem/internal/workloads/dlrm"
 )
 
+// textOf renders a facade run's dataset as text, failing the test on the
+// run's or the emitter's error.
+func textOf(t *testing.T, d *Dataset, err error) string {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := Emit(d, "text")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestNewSystems(t *testing.T) {
 	app := NewSystem()
-	if app.Config().SNCNodes != 4 || app.Config().LocalDDRChannels != 2 {
+	if app.Spec().SNCNodes != 4 || app.Spec().LocalDDRChannels != 2 {
 		t.Error("NewSystem should match the paper's §5 setup")
 	}
 	micro := NewMicrobenchSystem()
-	if micro.Config().SNCNodes != 1 || micro.Config().LocalDDRChannels != 8 {
+	if micro.Spec().SNCNodes != 1 || micro.Spec().LocalDDRChannels != 8 {
 		t.Error("NewMicrobenchSystem should match the §4 setup")
 	}
 }
@@ -36,21 +51,38 @@ func TestScenarioFacade(t *testing.T) {
 	if got := len(ScenarioWorkloads()); got != 8 {
 		t.Errorf("expected 8 scenario workloads, got %d", got)
 	}
-	out, err := RunScenario("fluid/policy=interleave/size=64M", RunConfig{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "system_bw") {
+	d, err := RunScenarioDataset("fluid/policy=interleave/size=64M", RunConfig{Quick: true})
+	if out := textOf(t, d, err); !strings.Contains(out, "system_bw") {
 		t.Errorf("scenario rendering missing primary metric:\n%s", out)
 	}
-	if _, err := RunScenario("nope", RunConfig{}); err == nil {
+	if _, err := RunScenarioDataset("nope", RunConfig{}); err == nil {
 		t.Error("unknown scenario workload should error")
 	}
-	if _, err := RunScenario("ycsb/flavor=mild", RunConfig{}); err == nil {
+	if _, err := RunScenarioDataset("ycsb/flavor=mild", RunConfig{}); err == nil {
 		t.Error("bad spec key should error")
 	}
 	if !strings.Contains(ScenarioCatalog(), "| `ycsb` |") {
 		t.Error("catalog missing ycsb row")
+	}
+}
+
+// TestCatalogsInExperimentsMD pins the generated registry catalogs: the
+// scenario and platform tables EXPERIMENTS.md embeds must match what
+// cxlbench -scenario list and -platform list print, byte for byte, so a
+// registry change that moves a row or a knob fails here until the document
+// is regenerated.
+func TestCatalogsInExperimentsMD(t *testing.T) {
+	doc, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, cat := range map[string]string{
+		"scenario": ScenarioCatalog(),
+		"platform": PlatformCatalog(),
+	} {
+		if !strings.Contains(string(doc), cat) {
+			t.Errorf("EXPERIMENTS.md does not embed the current %s catalog:\n%s", name, cat)
+		}
 	}
 }
 
@@ -75,36 +107,30 @@ func TestPlatformFacade(t *testing.T) {
 	if !strings.Contains(PlatformCatalog(), "| `x16-quad` |") {
 		t.Error("catalog missing x16-quad row")
 	}
-	out, err := RunScenario("fluid", RunConfig{Quick: true, Platform: "snc-off"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "system_bw") {
+	d, err := RunScenarioDataset("fluid", RunConfig{Quick: true, Platform: "snc-off"})
+	if out := textOf(t, d, err); !strings.Contains(out, "system_bw") {
 		t.Errorf("platformed scenario rendering missing primary metric:\n%s", out)
 	}
-	if _, err := RunScenario("fluid", RunConfig{Platform: "nope"}); err == nil {
+	if _, err := RunScenarioDataset("fluid", RunConfig{Platform: "nope"}); err == nil {
 		t.Error("unknown RunConfig platform should error")
 	}
 	// Platform names normalize like the platform= spec key does.
-	if _, err := RunScenario("fluid", RunConfig{Quick: true, Platform: "SNC-OFF"}); err != nil {
+	if _, err := RunScenarioDataset("fluid", RunConfig{Quick: true, Platform: "SNC-OFF"}); err != nil {
 		t.Errorf("uppercase platform name should normalize: %v", err)
 	}
 	// A bad platform must surface as an error from the matrix experiments,
 	// not as a panic inside their code-defined-cells-cannot-fail drivers.
-	if _, err := RunExperimentIn("matrix-apps", RunConfig{Quick: true, Platform: "nope"}, ""); err == nil {
+	if _, err := RunDataset("matrix-apps", RunConfig{Quick: true, Platform: "nope"}); err == nil {
 		t.Error("unknown platform should fail matrix experiments cleanly")
 	}
 }
 
 func TestRunExperiment(t *testing.T) {
-	out, err := RunExperimentIn("table1", RunConfig{Quick: true}, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "CXL-A") {
+	d, err := RunDataset("table1", RunConfig{Quick: true})
+	if out := textOf(t, d, err); !strings.Contains(out, "CXL-A") {
 		t.Error("table1 output missing CXL-A")
 	}
-	if _, err := RunExperiment("nope"); err == nil {
+	if _, err := RunDataset("nope", RunConfig{}); err == nil {
 		t.Error("unknown experiment should error")
 	}
 }

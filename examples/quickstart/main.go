@@ -32,7 +32,11 @@ func main() {
 	}
 
 	fmt.Println("\nRegenerating Fig. 4a (bandwidth efficiency):")
-	out, err := cxlmem.RunExperiment("fig4a")
+	d, err := cxlmem.RunDataset("fig4a", cxlmem.RunConfig{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	out, err := cxlmem.Emit(d, "text")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -41,7 +45,11 @@ func main() {
 	// Beyond the fixed figures, any cell of the workload x policy x size
 	// matrix is one spec string away (see examples/scenario_matrix).
 	fmt.Println("\nOne scenario cell (ycsb:readmostly at a 85:15 DDR:CXL split):")
-	out, err = cxlmem.RunScenario("ycsb:readmostly/policy=weighted:85,15", cxlmem.RunConfig{Quick: true})
+	d, err = cxlmem.RunScenarioDataset("ycsb:readmostly/policy=weighted:85,15", cxlmem.RunConfig{Quick: true})
+	if err != nil {
+		log.Fatal(err)
+	}
+	out, err = cxlmem.Emit(d, "text")
 	if err != nil {
 		log.Fatal(err)
 	}

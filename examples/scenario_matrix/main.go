@@ -30,7 +30,11 @@ func main() {
 		"fio:256k/policy=cxl",
 		"spec:mix/policy=interleave",
 	} {
-		out, err := cxlmem.RunScenario(spec, cfg)
+		d, err := cxlmem.RunScenarioDataset(spec, cfg)
+		if err != nil {
+			log.Fatal(err)
+		}
+		out, err := cxlmem.Emit(d, "text")
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -38,7 +42,7 @@ func main() {
 	}
 
 	// The same spec again is free: matrix cells are memoized per process.
-	if _, err := cxlmem.RunScenario("dlrm/policy=cxl:63/threads=32", cfg); err != nil {
+	if _, err := cxlmem.RunScenarioDataset("dlrm/policy=cxl:63/threads=32", cfg); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\n(re-running a cell hits the memo cache — no recomputation)")
@@ -46,7 +50,11 @@ func main() {
 	// The full cross product dispatches through the parallel sweep engine;
 	// see also: cxlbench -scenario all, and the matrix-apps /
 	// matrix-policy / matrix-size experiment IDs.
-	out, err := cxlmem.RunScenarioMatrix(cfg)
+	d, err := cxlmem.RunScenarioMatrixDataset(cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	out, err := cxlmem.Emit(d, "text")
 	if err != nil {
 		log.Fatal(err)
 	}

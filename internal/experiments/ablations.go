@@ -1,3 +1,6 @@
+// Ablation experiments (DESIGN.md §6): each one disables a single modeled
+// mechanism to show that it — and nothing else — produces the corresponding
+// observation of the paper.
 package experiments
 
 import (
@@ -10,16 +13,6 @@ import (
 	"cxlmem/internal/workloads/dlrm"
 	"cxlmem/internal/workloads/spec"
 )
-
-// Ablation experiments (DESIGN.md §6): each one disables a single modeled
-// mechanism to show that it — and nothing else — produces the corresponding
-// observation of the paper.
-func init() {
-	register("ablation-llc", "disable the SNC LLC-isolation break for CXL lines (isolates O6)", runAblationLLC)
-	register("ablation-coherence", "disable remote-directory burst congestion (isolates O3)", runAblationCoherence)
-	register("ablation-estimator", "Caption with the full counter set vs IPC only", runAblationEstimator)
-	markFidelity("ablation-llc")
-}
 
 func runAblationLLC(o Options) *results.Dataset {
 	samples := o.scale(200000)

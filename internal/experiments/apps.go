@@ -13,19 +13,6 @@ import (
 	"cxlmem/internal/workloads/ycsb"
 )
 
-func init() {
-	register("fig6a", "Redis YCSB-A p99 vs target QPS for 5 DDR:CXL ratios (Fig. 6a)", runFig6a)
-	register("fig6b", "DSB compose-posts p99: caching tier on DDR vs CXL (Fig. 6b)", dsbRunner("fig6b", dsb.ComposePosts, []float64{1000, 2000, 3000, 4000, 5000}))
-	register("fig6c", "DSB read-user-timelines p99 (Fig. 6c)", dsbRunner("fig6c", dsb.ReadUserTimelines, []float64{5000, 15000, 25000, 35000, 40000}))
-	register("fig6d", "DSB mixed-workload p99, incl. the CXL-wins window (Fig. 6d)", dsbRunner("fig6d", dsb.Mixed, []float64{2000, 5000, 8000, 9500, 11000}))
-	register("fig7", "Redis: TPP vs static 25% interleave latency distribution (Fig. 7)", runFig7)
-	register("fig8", "FIO p99 vs block size with page cache on DDR vs CXL (Fig. 8)", runFig8)
-	register("fig9a", "DLRM throughput vs threads for 7 allocation ratios (Fig. 9a)", runFig9a)
-	register("fig9b", "Redis max QPS, YCSB A/B/C/D/F x 5 ratios, normalized (Fig. 9b)", runFig9b)
-	register("table2", "DSB component working sets and placement (Table 2)", runTable2)
-	register("table3", "DLRM: 1 vs 4 SNC nodes, DDR vs CXL 100% (Table 3)", runTable3)
-}
-
 func kvConfig(o Options) kvstore.Config {
 	cfg := kvstore.DefaultConfig()
 	if o.Quick {

@@ -265,12 +265,12 @@ func TestRunDatasetPlatformScope(t *testing.T) {
 // driver becomes a cached error that reports the same way on every revisit
 // instead of a done-but-empty memo entry.
 func TestRunDatasetPanicRecovered(t *testing.T) {
-	// Safe to mutate: top-level tests run sequentially and the registry is
+	// Safe to mutate: top-level tests run sequentially and the index is
 	// only read during their serial phases.
-	register("test-panic", "panicking driver (test only)", func(Options) *results.Dataset {
+	byID["test-panic"] = Experiment{ID: "test-panic", Desc: "panicking driver (test only)", Run: func(Options) *results.Dataset {
 		panic("boom")
-	})
-	defer delete(registry, "test-panic")
+	}}
+	defer delete(byID, "test-panic")
 	o := quickOpts()
 	for i := 0; i < 2; i++ {
 		if _, err := RunDataset("test-panic", o); err == nil || !strings.Contains(err.Error(), "boom") {

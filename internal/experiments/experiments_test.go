@@ -60,6 +60,22 @@ func TestRegistryComplete(t *testing.T) {
 	if _, err := Get("fig99"); err == nil {
 		t.Error("unknown id should error")
 	}
+	// The table's own invariants: lowercase IDs in strictly sorted order
+	// (hence unique), each with a description and a driver.
+	for i, e := range registry {
+		if e.ID == "" || e.ID != strings.ToLower(e.ID) {
+			t.Errorf("experiment ID %q must be non-empty lowercase", e.ID)
+		}
+		if i > 0 && registry[i-1].ID >= e.ID {
+			t.Errorf("experiment %q out of order after %q", e.ID, registry[i-1].ID)
+		}
+		if e.Desc == "" || e.Run == nil {
+			t.Errorf("experiment %q lacks a description or a driver", e.ID)
+		}
+	}
+	if len(byID) != len(registry) {
+		t.Errorf("%d experiments index to %d IDs: duplicate ID", len(registry), len(byID))
+	}
 }
 
 func TestRenderShape(t *testing.T) {

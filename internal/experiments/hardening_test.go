@@ -1,9 +1,7 @@
 package experiments
 
 // Hardening tests for the cancellation and bounded-cache paths (DESIGN.md
-// §11). This test binary must never register platform profiles: the golden
-// corpus for matrix-platform enumerates the registry, so a test
-// registration would corrupt every sibling test.
+// §11).
 
 import (
 	"context"

@@ -240,7 +240,7 @@ func TestAllMatrixScenarios(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if workloads.IsEventDriven(w) {
+		if w.EventDriven {
 			// Event-driven workloads are excluded from the steady-state
 			// matrices by design; they have dedicated timeline experiments.
 			if covered[name] {

@@ -8,12 +8,6 @@ import (
 	"cxlmem/internal/workloads/tpptimeline"
 )
 
-func init() {
-	register("tpp-timeline",
-		"event-driven TPP migration timeline: per-epoch residency, migration throughput and latency under bursty load",
-		runTppTimeline)
-}
-
 // timelineCell pairs a timeline result with its error through the sweep
 // engine's value slot.
 type timelineCell struct {

@@ -87,6 +87,6 @@ func (s *Server) trace(w http.ResponseWriter, r *http.Request) {
 }
 
 // simTraceCounts fetches the per-phase totals for the /metrics exposition.
-func simTraceCounts() (sim.TraceCounts, int) {
+func simTraceCounts() (sim.SchedulerStats, int) {
 	return telemetry.Sim.Totals(), telemetry.Sim.Len()
 }

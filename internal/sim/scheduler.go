@@ -2,14 +2,18 @@ package sim
 
 import "fmt"
 
-// SchedulerStats counts event traffic through a Scheduler. All counters are
-// cumulative since construction.
+// SchedulerStats counts event traffic through a Scheduler, one counter per
+// trace phase; a TraceRing keeps the same totals for the events it observes.
+// All counters are cumulative since construction (or a ring's Reset).
 type SchedulerStats struct {
-	// Enqueued is the number of Schedule/After calls accepted.
+	// Enqueued is the number of Schedule/After calls accepted
+	// (PhaseEnqueue events).
 	Enqueued uint64
-	// Dispatched is the number of events delivered to actors.
+	// Dispatched is the number of events delivered to actors
+	// (PhaseDispatch events).
 	Dispatched uint64
-	// Completed is the number of actor handlers that returned.
+	// Completed is the number of actor handlers that returned
+	// (PhaseComplete events).
 	Completed uint64
 }
 

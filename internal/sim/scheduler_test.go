@@ -207,7 +207,7 @@ func TestRunUntil(t *testing.T) {
 // TestSchedulerStats: counters agree with the trace.
 func TestSchedulerStats(t *testing.T) {
 	trace, _ := runChained(11)
-	var counts TraceCounts
+	var counts SchedulerStats
 	for _, te := range trace {
 		switch te.Phase {
 		case PhaseEnqueue:
@@ -242,7 +242,7 @@ func TestTraceRing(t *testing.T) {
 		t.Fatalf("Totals().Dispatched = %d, want 10", got.Dispatched)
 	}
 	r.Reset()
-	if r.Len() != 0 || r.Totals() != (TraceCounts{}) {
+	if r.Len() != 0 || r.Totals() != (SchedulerStats{}) {
 		t.Fatal("Reset did not clear the ring")
 	}
 }

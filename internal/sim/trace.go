@@ -62,18 +62,9 @@ type TapFunc func(TraceEvent)
 // Observe implements Tap.
 func (f TapFunc) Observe(te TraceEvent) { f(te) }
 
-// TraceCounts are cumulative per-phase totals from a TraceRing.
-type TraceCounts struct {
-	// Enqueued counts PhaseEnqueue observations.
-	Enqueued uint64
-	// Dispatched counts PhaseDispatch observations.
-	Dispatched uint64
-	// Completed counts PhaseComplete observations.
-	Completed uint64
-}
-
 // TraceRing is a fixed-capacity, mutex-protected ring buffer of trace
-// events plus cumulative per-phase totals. It retains the most recent Cap
+// events plus cumulative per-phase totals (counted in a SchedulerStats, one
+// counter per phase). It retains the most recent Cap
 // events; older ones are overwritten. It is safe for concurrent use, so a
 // single ring can absorb a simulation's tap stream while HTTP handlers
 // snapshot it (the /v1/trace + /metrics path in cxlserve).
@@ -82,7 +73,7 @@ type TraceRing struct {
 	buf    []TraceEvent
 	next   int
 	filled bool
-	counts TraceCounts
+	counts SchedulerStats
 }
 
 // NewTraceRing returns a ring retaining the most recent capacity events.
@@ -133,7 +124,7 @@ func (r *TraceRing) Len() int {
 }
 
 // Totals returns cumulative per-phase counts (not bounded by capacity).
-func (r *TraceRing) Totals() TraceCounts {
+func (r *TraceRing) Totals() SchedulerStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.counts
@@ -160,7 +151,7 @@ func (r *TraceRing) Reset() {
 	defer r.mu.Unlock()
 	r.next = 0
 	r.filled = false
-	r.counts = TraceCounts{}
+	r.counts = SchedulerStats{}
 	for i := range r.buf {
 		r.buf[i] = TraceEvent{}
 	}

@@ -42,7 +42,7 @@ func (t *SimTrace) Tap() sim.Tap {
 func (t *SimTrace) Snapshot() []sim.TraceEvent { return t.ring.Load().Snapshot() }
 
 // Totals returns cumulative per-phase counts since the last Configure/Reset.
-func (t *SimTrace) Totals() sim.TraceCounts { return t.ring.Load().Totals() }
+func (t *SimTrace) Totals() sim.SchedulerStats { return t.ring.Load().Totals() }
 
 // Len returns the number of retained events.
 func (t *SimTrace) Len() int { return t.ring.Load().Len() }

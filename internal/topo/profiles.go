@@ -2,36 +2,13 @@
 // the others explore the device-diversity axes the paper opens (O2: the
 // controller dominates; §1: x8 vs x16 links; Fig. 4: ASIC vs FPGA
 // efficiency) without touching any constructor code — each profile is a few
-// lines of Spec data.
+// lines of Spec data, listed in the platforms table (platform.go).
 package topo
 
 import (
 	"cxlmem/internal/link"
 	"cxlmem/internal/mem"
 )
-
-func init() {
-	RegisterPlatform(Platform{
-		Name: DefaultPlatform,
-		Desc: "the paper's dual-socket SPR server: DDR5-R emulation + CXL-A/B/C (Table 1, §5 setup)",
-		Spec: Table1Spec(),
-	})
-	RegisterPlatform(Platform{
-		Name: "x16-quad",
-		Desc: "bandwidth-expansion box: four x16 ASIC expanders behind the full 8-channel DDR5 pool",
-		Spec: X16QuadSpec(),
-	})
-	RegisterPlatform(Platform{
-		Name: "snc-off",
-		Desc: "single-socket SNC-off box with one CXL-A-class x8 expander (no UPI, no emulation)",
-		Spec: SNCOffSpec(),
-	})
-	RegisterPlatform(Platform{
-		Name: "fpga-degraded",
-		Desc: "worst-case device study: the Table-1 host with only a degraded soft-IP expander",
-		Spec: FPGADegradedSpec(),
-	})
-}
 
 // deviceSpecOf lifts a materialized mem.Device into spec form over the given
 // link.

@@ -12,7 +12,7 @@ import (
 )
 
 // handAssembledTable1 reproduces the pre-refactor NewSystem body verbatim:
-// the hand-written Table-1 constructor the Builder replaced. The pin test
+// the hand-written Table-1 constructor Build replaced. The pin test
 // below proves the declarative path assembles the same machine
 // field-for-field.
 func handAssembledTable1(cfg Config) (hier *cache.Hierarchy, paths []*Path) {
@@ -52,7 +52,7 @@ func handAssembledTable1(cfg Config) (hier *cache.Hierarchy, paths []*Path) {
 }
 
 // TestBuilderReproducesTable1 pins that the default profile, built through
-// the declarative Spec/Builder path, is the hand-assembled Table-1 system
+// the declarative Spec/Build path, is the hand-assembled Table-1 system
 // field for field — for both the §5 application config and the §4
 // microbenchmark config.
 func TestBuilderReproducesTable1(t *testing.T) {
@@ -76,8 +76,15 @@ func TestBuilderReproducesTable1(t *testing.T) {
 						i, want.Name, got.Paths()[i], want)
 				}
 			}
-			if got.Config() != cfg {
-				t.Errorf("Config() = %+v, want %+v", got.Config(), cfg)
+			sp := got.Spec()
+			if view := (Config{
+				SNCNodes:              sp.SNCNodes,
+				LocalDDRChannels:      sp.LocalDDRChannels,
+				CXLBreaksSNCIsolation: sp.CXLBreaksSNCIsolation,
+				CoherenceCongestion:   sp.CoherenceCongestion,
+				Seed:                  sp.Seed,
+			}); view != cfg {
+				t.Errorf("Spec() carries %+v, want %+v", view, cfg)
 			}
 			if got.DDRRemote == nil || got.DDRRemote.Name != "DDR5-R" {
 				t.Error("DDR5-R should remain the canonical DDRRemote path")
@@ -198,7 +205,8 @@ func TestBuildPlatformsAllBuildable(t *testing.T) {
 }
 
 // TestPlatformRegistry covers the registry contract: lookups, unknown
-// names, duplicate registration, and invalid profiles.
+// names, and the table's invariants — non-empty lowercase unique names in
+// presentation order (default first, then sorted) and specs that validate.
 func TestPlatformRegistry(t *testing.T) {
 	if _, err := PlatformByName("table1"); err != nil {
 		t.Fatal(err)
@@ -206,18 +214,28 @@ func TestPlatformRegistry(t *testing.T) {
 	if _, err := PlatformByName("nope"); err == nil || !strings.Contains(err.Error(), "registered:") {
 		t.Errorf("unknown platform error should list the registry, got %v", err)
 	}
-	expectPanic := func(name string, p Platform) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: expected panic", name)
-			}
-		}()
-		RegisterPlatform(p)
+	all := AllPlatforms()
+	if len(all) == 0 || all[0].Name != DefaultPlatform {
+		t.Fatalf("default platform should lead the registry, got %v", PlatformNames())
 	}
-	expectPanic("duplicate", Platform{Name: "table1", Spec: Table1Spec()})
-	expectPanic("uppercase", Platform{Name: "Table2", Spec: Table1Spec()})
-	expectPanic("invalid spec", Platform{Name: "broken", Spec: Spec{Name: "broken"}})
-	if len(AllPlatforms()) != len(PlatformNames()) {
+	for i, p := range all {
+		if p.Name == "" || p.Name != strings.ToLower(p.Name) {
+			t.Errorf("platform name %q must be non-empty lowercase", p.Name)
+		}
+		if i > 1 && all[i-1].Name >= p.Name {
+			t.Errorf("platform %q out of order after %q (want sorted after the default)", p.Name, all[i-1].Name)
+		}
+		if got, err := PlatformByName(p.Name); err != nil || got.Name != p.Name {
+			t.Errorf("PlatformByName(%q) = %v, %v", p.Name, got.Name, err)
+		}
+		if err := p.Spec.Validate(); err != nil {
+			t.Errorf("platform %q does not validate: %v", p.Name, err)
+		}
+	}
+	if len(platformIndex) != len(all) {
+		t.Errorf("%d platforms index to %d names: duplicate name", len(all), len(platformIndex))
+	}
+	if len(all) != len(PlatformNames()) {
 		t.Error("AllPlatforms and PlatformNames disagree")
 	}
 	catalog := PlatformCatalog()

@@ -209,11 +209,10 @@ func MicrobenchConfig() Config {
 	}
 }
 
-// System is the assembled machine. Systems are produced by the Builder from
-// a declarative Spec (spec.go); NewSystem remains as the legacy constructor
+// System is the assembled machine. Systems are produced by Build from a
+// declarative Spec (spec.go); NewSystem remains as the legacy constructor
 // for the paper's Table-1 machine under a Config.
 type System struct {
-	cfg        Config
 	spec       Spec
 	defaultFar string
 	// paths holds every device path in the spec's presentation order,
@@ -242,9 +241,6 @@ func NewSystem(cfg Config) *System {
 	sp.Seed = cfg.Seed
 	return MustBuild(sp)
 }
-
-// Config returns the system's configuration.
-func (s *System) Config() Config { return s.cfg }
 
 // Spec returns the declarative spec the system was built from.
 func (s *System) Spec() Spec { return s.spec }

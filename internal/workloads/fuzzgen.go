@@ -29,15 +29,10 @@ var fuzzSizes = []string{"4096", "64K", "512K", "16M", "64M", "256M", "1G", "4G"
 // their own deterministic rejection tests); rng drives every choice, so a
 // seeded corpus is reproducible.
 func RandomScenario(rng *sim.Rng) Scenario {
-	names := Names()
-	w, err := Get(names[rng.Intn(len(names))])
-	if err != nil {
-		panic(err) // unreachable: the name came from the registry
-	}
-	sc := Scenario{Workload: w.Name()}
+	w := registry[rng.Intn(len(registry))]
+	sc := Scenario{Workload: w.Name}
 	if rng.Intn(2) == 0 {
-		variants := w.Variants()
-		sc.Variant = variants[rng.Intn(len(variants))]
+		sc.Variant = w.Variants[rng.Intn(len(w.Variants))]
 	}
 	if rng.Intn(2) == 0 {
 		p, err := ParsePolicy(fuzzPolicies[rng.Intn(len(fuzzPolicies))])

@@ -9,8 +9,8 @@ import (
 // plus the event-driven tpp-timeline, in sorted registry order.
 var allModels = []string{"dlrm", "dsb", "fio", "fluid", "kvstore", "spec", "tpp-timeline", "ycsb"}
 
-// TestAllModelsRegistered asserts every model has a registered adapter and
-// the registry views agree with each other.
+// TestAllModelsRegistered asserts every model has a registry row, in sorted
+// order with lowercase names, and the registry views agree with each other.
 func TestAllModelsRegistered(t *testing.T) {
 	names := Names()
 	if len(names) != len(allModels) {
@@ -22,12 +22,15 @@ func TestAllModelsRegistered(t *testing.T) {
 		}
 	}
 	for _, w := range All() {
-		got, err := Get(w.Name())
-		if err != nil || got.Name() != w.Name() {
-			t.Errorf("Get(%q) = %v, %v", w.Name(), got, err)
+		got, err := Get(w.Name)
+		if err != nil || got.Name != w.Name {
+			t.Errorf("Get(%q) = %v, %v", w.Name, got, err)
 		}
-		if w.Desc() == "" || len(w.Variants()) == 0 {
-			t.Errorf("%s: empty description or variant list", w.Name())
+		if w.Name != strings.ToLower(w.Name) {
+			t.Errorf("%s: registry names must be lowercase", w.Name)
+		}
+		if w.Desc == "" || len(w.Variants) == 0 || w.Run == nil {
+			t.Errorf("%s: empty description, variant list or run function", w.Name)
 		}
 	}
 	if _, err := Get("nosuchworkload"); err == nil {
@@ -41,17 +44,17 @@ func TestAllModelsRegistered(t *testing.T) {
 func TestDefaultsRunnable(t *testing.T) {
 	for _, w := range All() {
 		w := w
-		t.Run(w.Name(), func(t *testing.T) {
+		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
 			cfg := w.DefaultConfig()
 			found := false
-			for _, v := range w.Variants() {
+			for _, v := range w.Variants {
 				if v == cfg.Variant {
 					found = true
 				}
 			}
 			if !found {
-				t.Errorf("default variant %q not in Variants %v", cfg.Variant, w.Variants())
+				t.Errorf("default variant %q not in Variants %v", cfg.Variant, w.Variants)
 			}
 			env := NewEnv()
 			env.Quick = true
@@ -80,14 +83,14 @@ func TestRunsDeterministic(t *testing.T) {
 		env2.Quick = true
 		b, err2 := w.Run(env2, w.DefaultConfig())
 		if err1 != nil || err2 != nil {
-			t.Fatalf("%s: %v / %v", w.Name(), err1, err2)
+			t.Fatalf("%s: %v / %v", w.Name, err1, err2)
 		}
 		if len(a.Items) != len(b.Items) {
-			t.Fatalf("%s: metric counts differ", w.Name())
+			t.Fatalf("%s: metric counts differ", w.Name)
 		}
 		for i := range a.Items {
 			if a.Items[i] != b.Items[i] {
-				t.Errorf("%s: metric %d differs: %+v vs %+v", w.Name(), i, a.Items[i], b.Items[i])
+				t.Errorf("%s: metric %d differs: %+v vs %+v", w.Name, i, a.Items[i], b.Items[i])
 			}
 		}
 	}
@@ -100,7 +103,7 @@ func TestUnknownVariantRejected(t *testing.T) {
 		cfg := w.DefaultConfig()
 		cfg.Variant = "nosuchvariant"
 		if _, err := w.Run(NewEnv(), cfg); err == nil || !strings.Contains(err.Error(), "variant") {
-			t.Errorf("%s: want unknown-variant error, got %v", w.Name(), err)
+			t.Errorf("%s: want unknown-variant error, got %v", w.Name, err)
 		}
 	}
 }
@@ -113,7 +116,7 @@ func TestUnknownDeviceRejected(t *testing.T) {
 		env := NewEnv()
 		env.Quick = true
 		if _, err := w.Run(env, cfg); err == nil {
-			t.Errorf("%s: unknown device accepted", w.Name())
+			t.Errorf("%s: unknown device accepted", w.Name)
 		}
 	}
 }

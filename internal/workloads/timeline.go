@@ -1,8 +1,7 @@
 // The tpp-timeline adapter: the first event-driven workload, running on the
-// internal/sim discrete-event scheduler instead of a closed-form model. It
-// lives in its own file because it also introduces the EventDriven marker
-// that keeps time-series workloads out of the steady-state matrix
-// experiments.
+// internal/sim discrete-event scheduler instead of a closed-form model. Its
+// registry row sets EventDriven, which keeps it out of the steady-state
+// matrix experiments.
 package workloads
 
 import (
@@ -12,57 +11,9 @@ import (
 	"cxlmem/internal/workloads/tpptimeline"
 )
 
-func init() {
-	Register(timelineWorkload{})
-}
-
-// EventDriven marks workloads that execute on the discrete-event scheduler
-// and emit time series rather than steady-state scalars. The matrix
-// experiments (matrix-apps, matrix-platform) skip event-driven workloads —
-// their primary output is a timeline, not a single figure of merit — which
-// keeps the pre-existing matrix goldens invariant as event-driven workloads
-// join the registry.
-type EventDriven interface {
-	Workload
-	// EventDriven is the marker method; it carries no behavior.
-	EventDriven()
-}
-
-// IsEventDriven reports whether w runs on the discrete-event engine.
-func IsEventDriven(w Workload) bool {
-	_, ok := w.(EventDriven)
-	return ok
-}
-
 // timelineEpochCap bounds the epoch count a spec can request, so a fuzzed or
 // hostile ops= knob cannot schedule an unbounded simulation.
 const timelineEpochCap = 5000
-
-// timelineWorkload replays TPP promotion/demotion decisions as scheduled
-// events over a bursty arrival process (ISSUE 8's event-driven proof).
-type timelineWorkload struct{}
-
-// Name implements Workload.
-func (timelineWorkload) Name() string { return "tpp-timeline" }
-
-// Desc implements Workload.
-func (timelineWorkload) Desc() string {
-	return "event-driven TPP migration timeline under bursty open-loop load (Fig. 7 mechanism, over time)"
-}
-
-// Variants implements Workload: bursty keeps the on/off phase modulation,
-// steady holds the offered load flat at the base rate.
-func (timelineWorkload) Variants() []string { return []string{"bursty", "steady"} }
-
-// DefaultConfig implements Workload. CXLPercent is the *initial* far-tier
-// share (the Fig. 7 cold start puts everything far), TargetQPS the base
-// rate, and Ops the epoch count on the 5 ms sampling grid.
-func (timelineWorkload) DefaultConfig() Config {
-	return Config{Variant: "bursty", Device: "CXL-A", CXLPercent: 100, TargetQPS: 50_000, Ops: 200}
-}
-
-// EventDriven implements the EventDriven marker.
-func (timelineWorkload) EventDriven() {}
 
 // timelineConfigFor maps the generic knobs onto tpptimeline.Config: size
 // resizes the page space, qps sets the base rate (bursts run at 6x base),
@@ -78,7 +29,7 @@ func timelineConfigFor(env *Env, cfg Config) (tpptimeline.Config, error) {
 	case "steady":
 		tc.BurstQPS = tc.BaseQPS
 	default:
-		return tpptimeline.Config{}, errUnknownVariant("tpp-timeline", cfg.Variant, timelineWorkload{}.Variants())
+		return tpptimeline.Config{}, errUnknownVariant("tpp-timeline", cfg.Variant)
 	}
 	tc.FarPercent = cfg.CXLPercent
 	if cfg.SizeBytes > 0 {
@@ -113,8 +64,8 @@ func timelineConfigFor(env *Env, cfg Config) (tpptimeline.Config, error) {
 // overrides, returning the full time series. The process-wide telemetry
 // trace sink observes the run (feeding cxlserve's /v1/trace and /metrics);
 // extra taps are attached after it. The experiments driver calls this
-// directly for the timeline dataset; the Workload adapter reduces the same
-// result to summary metrics.
+// directly for the timeline dataset; runTimeline reduces the same result to
+// summary metrics.
 func RunTimeline(env *Env, cfg Config, taps ...sim.Tap) (tpptimeline.Result, error) {
 	tc, err := timelineConfigFor(env, cfg)
 	if err != nil {
@@ -130,9 +81,11 @@ func RunTimeline(env *Env, cfg Config, taps ...sim.Tap) (tpptimeline.Result, err
 	return tpptimeline.Run(env.Sys, tc, cfg.Device, all...), nil
 }
 
-// Run implements Workload: the timeline reduced to steady-state summary
-// metrics over the last quarter of the epochs (the post-ramp regime).
-func (w timelineWorkload) Run(env *Env, cfg Config) (Metrics, error) {
+// runTimeline replays TPP promotion/demotion decisions as scheduled events
+// over a bursty arrival process and reduces the timeline to steady-state
+// summary metrics over the last quarter of the epochs (the post-ramp
+// regime).
+func runTimeline(env *Env, cfg Config) (Metrics, error) {
 	res, err := RunTimeline(env, cfg)
 	if err != nil {
 		return Metrics{}, err
@@ -163,9 +116,3 @@ func (w timelineWorkload) Run(env *Env, cfg Config) (Metrics, error) {
 	m.Add("final_far_frac", res.FinalFarFraction, "frac")
 	return m, nil
 }
-
-// ensure the adapter satisfies both interfaces at compile time.
-var (
-	_ Workload    = timelineWorkload{}
-	_ EventDriven = timelineWorkload{}
-)

@@ -1,20 +1,21 @@
 // Package workloads unifies the paper's seven application models (DLRM,
 // DeathStarBench, fio, the fluid bandwidth solver, the Redis kvstore,
-// SPECrate surrogates, and YCSB) behind one composable interface.
+// SPECrate surrogates, and YCSB) plus the event-driven tpp-timeline as rows
+// of one table.
 //
-// Historically each model under internal/workloads/* exposed its own
-// bespoke entry point and only the hard-coded experiment drivers could run
-// it. This package turns every model into a Workload: a named, describable
-// unit with variants, a default Config, and a uniform Run signature that
-// returns ordered Metrics. New scenarios become data — a one-line spec
-// string (see Scenario) — instead of code, matching the uniform workload
-// front-ends of CXL-DMSim and CXLRAMSim.
+// Each model under internal/workloads/* keeps its own entry point. This
+// package turns every model into a Workload: a plain value carrying a name,
+// a description, variants, a default Config, and a run function with one
+// uniform signature that returns ordered Metrics. New scenarios become data
+// — a one-line spec string (see Scenario) — instead of code, matching the
+// uniform workload front-ends of CXL-DMSim and CXLRAMSim.
 //
 // The layering rule: this parent package may import the per-model
 // subpackages (internal/workloads/dlrm, .../ycsb, ...), never the other way
 // around, so the models stay import-cycle-free and usable on their own.
-// Adapters live in adapters.go; the registry in registry.go; the scenario
-// spec language in scenario.go.
+// The registry is one fixed table of Workload values in registry.go; their
+// run functions live in adapters.go and timeline.go; the scenario spec
+// language in scenario.go.
 package workloads
 
 import (
@@ -204,24 +205,35 @@ func (m Metrics) Get(name string) (float64, bool) {
 	return 0, false
 }
 
-// Workload is one runnable application model.
-type Workload interface {
+// Workload is one runnable application model: one row of the registry
+// table (registry.go).
+type Workload struct {
 	// Name is the registry key ("ycsb", "dlrm", ...).
-	Name() string
+	Name string
 	// Desc is a one-line description with the paper anchor.
-	Desc() string
+	Desc string
 	// Variants lists the accepted Config.Variant values, canonical name
-	// first; aliases are resolved by the workload's Run.
-	Variants() []string
-	// DefaultConfig returns a runnable calibrated configuration.
-	DefaultConfig() Config
+	// first; aliases are resolved by Run.
+	Variants []string
+	// Default is a runnable calibrated configuration.
+	Default Config
+	// EventDriven marks workloads that execute on the discrete-event
+	// scheduler and emit time series rather than steady-state scalars. The
+	// matrix experiments skip them: their primary output is a timeline, not
+	// a single figure of merit.
+	EventDriven bool
 	// Run executes the workload under env with the given configuration and
-	// returns its metrics. Implementations must be deterministic for a
-	// fixed (env, cfg) and safe for concurrent use with distinct envs.
-	Run(env *Env, cfg Config) (Metrics, error)
+	// returns its metrics. It is deterministic for a fixed (env, cfg) and
+	// safe for concurrent use with distinct envs.
+	Run func(env *Env, cfg Config) (Metrics, error)
 }
 
-// errUnknownVariant formats the shared unknown-variant failure.
-func errUnknownVariant(workload, variant string, accepted []string) error {
-	return fmt.Errorf("workloads: %s has no variant %q (accepted: %v)", workload, variant, accepted)
+// DefaultConfig returns the workload's calibrated default configuration.
+func (w Workload) DefaultConfig() Config { return w.Default }
+
+// errUnknownVariant formats the shared unknown-variant failure, listing the
+// registered workload's accepted variants.
+func errUnknownVariant(workload, variant string) error {
+	return fmt.Errorf("workloads: %s has no variant %q (accepted: %v)",
+		workload, variant, byName[workload].Variants)
 }

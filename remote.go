@@ -9,7 +9,6 @@ import (
 
 	"cxlmem/internal/cluster"
 	"cxlmem/internal/experiments"
-	"cxlmem/internal/results"
 	"cxlmem/internal/workloads"
 )
 
@@ -40,16 +39,6 @@ func RunRemoteScenarioMatrixDataset(peers []string, cfg RunConfig) (*Dataset, er
 		"full scenario matrix: workload x policy x size", experiments.AllMatrixScenarios())
 }
 
-// RunRemoteScenarioMatrixIn is RunRemoteScenarioMatrixDataset rendered in
-// the named format ("text", "json", "csv"; empty means text).
-func RunRemoteScenarioMatrixIn(peers []string, cfg RunConfig, format string) (string, error) {
-	d, err := RunRemoteScenarioMatrixDataset(peers, cfg)
-	if err != nil {
-		return "", err
-	}
-	return results.Emit(d, format)
-}
-
 // RunRemoteScenarioDataset evaluates one scenario spec on the replica that
 // owns its canonical key, byte-identical to RunScenarioDataset.
 func RunRemoteScenarioDataset(spec string, peers []string, cfg RunConfig) (*Dataset, error) {
@@ -62,14 +51,4 @@ func RunRemoteScenarioDataset(spec string, peers []string, cfg RunConfig) (*Data
 		return nil, err
 	}
 	return co.ScenarioResult(context.Background(), cfg.options(), sc)
-}
-
-// RunRemoteScenarioIn is RunRemoteScenarioDataset rendered in the named
-// format.
-func RunRemoteScenarioIn(spec string, peers []string, cfg RunConfig, format string) (string, error) {
-	d, err := RunRemoteScenarioDataset(spec, peers, cfg)
-	if err != nil {
-		return "", err
-	}
-	return results.Emit(d, format)
 }
