@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 
 	"cxlmem/internal/memo"
 	"cxlmem/internal/results"
@@ -80,8 +81,10 @@ func (o Options) scale(n int) int {
 // test pins it), so a cached value is valid across fan-outs.
 func (o Options) fingerprint() string {
 	// Literal fastwarm=false: memo keys, ring owners and snapshots never move.
-	return fmt.Sprintf("quick=%t|fastwarm=false|seed=%d|platform=%s|fidelity=%s",
-		o.Quick, o.Seed, o.Platform, o.fidelity())
+	// Concatenated rather than formatted: every memo lookup builds one.
+	return "quick=" + strconv.FormatBool(o.Quick) + "|fastwarm=false|seed=" +
+		strconv.FormatUint(o.Seed, 10) + "|platform=" + o.Platform +
+		"|fidelity=" + string(o.fidelity())
 }
 
 // Experiment is a registered driver: one row of the registry table.
@@ -178,7 +181,8 @@ func IDs() []string {
 // RunDataset calls — a cxlserve daemon answering the same query, or the
 // emitters re-rendering one run as text/json/csv — evaluate each
 // (experiment, options) pair once. Keys exclude the worker count
-// (Options.fingerprint), matching the byte-identity contract.
+// (Options.fingerprint), matching the byte-identity contract. Each value is
+// a *results.Rendered, so renderings stored on it share the entry's life.
 var datasetCache = memo.NewCache()
 
 // ConfigureCaches applies the same entry budget to both process-wide memo
@@ -259,6 +263,18 @@ func DatasetKey(id string, o Options) (string, error) {
 // run's sweep work (unless another caller still waits on the same key) and
 // returns the context's error uncached.
 func RunDataset(id string, o Options) (*results.Dataset, error) {
+	r, err := RunRendered(id, o)
+	if err != nil {
+		return nil, err
+	}
+	return r.Dataset, nil
+}
+
+// RunRendered is RunDataset returning the memo entry itself: the dataset
+// with the renderings stored on it (results.Rendered), reached through the
+// same single memo lookup. A server renders through it so repeat hits copy
+// stored bytes instead of re-emitting.
+func RunRendered(id string, o Options) (*results.Rendered, error) {
 	e, err := Get(id)
 	if err != nil {
 		return nil, err
@@ -275,16 +291,16 @@ func RunDataset(id string, o Options) (*results.Dataset, error) {
 		defer recoverAsErr(id, &err)
 		ro := o
 		ro.Ctx = cctx // the single-flight context: canceled when every waiter leaves
-		return e.Run(ro), nil
+		return &results.Rendered{Dataset: e.Run(ro)}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	d, ok := v.(*results.Dataset)
-	if !ok {
+	r, ok := v.(*results.Rendered)
+	if !ok || r.Dataset == nil {
 		return nil, fmt.Errorf("experiments: %s produced no dataset", id)
 	}
-	return d, nil
+	return r, nil
 }
 
 // newDataset starts a driver's dataset, stamping the run's provenance from

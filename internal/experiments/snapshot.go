@@ -38,13 +38,14 @@ type snapshotFile struct {
 }
 
 // encodeDataset serializes one cached dataset through the lossless JSON
-// emitter — exactly the bytes a format=json response carries.
+// emitter — exactly the bytes a format=json response carries. Renderings
+// stored on the entry are not written: a restored entry stores its own.
 func encodeDataset(key string, v any) ([]byte, error) {
-	d, ok := v.(*results.Dataset)
+	r, ok := v.(*results.Rendered)
 	if !ok {
 		return nil, fmt.Errorf("experiments: cache entry %q is not a dataset", key)
 	}
-	out, err := results.Emit(d, "json")
+	out, err := results.Emit(r.Dataset, "json")
 	if err != nil {
 		return nil, fmt.Errorf("experiments: encoding %q: %w", key, err)
 	}
@@ -57,7 +58,7 @@ func decodeDataset(key string, data []byte) (any, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: decoding %q: %w", key, err)
 	}
-	return d, nil
+	return &results.Rendered{Dataset: d}, nil
 }
 
 // ExportDatasetCache serializes the process-wide dataset cache — every

@@ -6,6 +6,7 @@ package experiments
 // process-restart story cxlserve's -snapshot-load flag implements.
 
 import (
+	"encoding/json"
 	"os"
 	"strings"
 	"testing"
@@ -58,7 +59,7 @@ func TestSnapshotRoundTripUnderEviction(t *testing.T) {
 		if recomputed {
 			t.Fatalf("%s: just-run dataset missing from its own snapshot (key %s)", e.ID, key)
 		}
-		rd := v.(*results.Dataset)
+		rd := v.(*results.Rendered).Dataset
 		for _, format := range []string{"text", "json", "csv"} {
 			want, err := results.Emit(d, format)
 			if err != nil {
@@ -219,5 +220,94 @@ func TestMetricsFromDatasetRoundTrip(t *testing.T) {
 	bad.AddRow(results.Str("a"), results.Str("b"))
 	if _, err := workloads.MetricsFromDataset(bad); err == nil {
 		t.Error("two-cell row parsed as a metric")
+	}
+}
+
+// TestStoredRenderingsStayOutOfSnapshots checks the dataset memo's stored
+// renderings: every RunRendered call is exactly one memo lookup returning
+// the entry's own dataset, renderings stored on the entry leave the
+// snapshot's encoded values unchanged, and a restored entry starts with
+// nothing stored.
+func TestStoredRenderingsStayOutOfSnapshots(t *testing.T) {
+	o := DefaultOptions()
+	o.Quick = true
+	o.Seed = 424242 // a key no other test holds
+	d, err := RunDataset("table2", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := ExportDatasetCache()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits := datasetCache.Stats().Hits
+	var r *results.Rendered
+	for _, format := range results.Formats() {
+		em, err := results.Lookup(format)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if r, err = RunRendered("table2", o); err != nil {
+				t.Fatal(err)
+			}
+			if r.Dataset != d {
+				t.Fatal("RunRendered returned a dataset other than the memoized one")
+			}
+			if _, err := r.Append(nil, em); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !r.Stored(format) {
+			t.Errorf("%s not stored after three renderings", format)
+		}
+	}
+	if got, want := datasetCache.Stats().Hits-hits, int64(3*len(results.Formats())); got != want {
+		t.Errorf("%d RunRendered calls made %d memo hits, want one each", want, got)
+	}
+	after, err := ExportDatasetCache()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := DatasetKey("table2", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	values := func(data []byte) map[string]string {
+		var f snapshotFile
+		if err := json.Unmarshal(data, &f); err != nil {
+			t.Fatal(err)
+		}
+		m := make(map[string]string, len(f.Entries))
+		for _, e := range f.Entries {
+			m[e.Key] = string(e.Value)
+		}
+		return m
+	}
+	vb, va := values(before), values(after)
+	if vb[key] == "" || len(va) != len(vb) {
+		t.Fatalf("snapshot lost entries: %d before, %d after, key present %t", len(vb), len(va), vb[key] != "")
+	}
+	for k, v := range vb {
+		if va[k] != v {
+			t.Errorf("snapshot value of %s changed once renderings were stored", k)
+		}
+	}
+	fresh := memo.NewCache()
+	if _, err := ImportDatasetCacheInto(fresh, after); err != nil {
+		t.Fatal(err)
+	}
+	v, err := fresh.Do(key, func() (any, error) { return nil, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, ok := v.(*results.Rendered)
+	if !ok || restored.Dataset == nil {
+		t.Fatalf("restored entry is %T, want a *results.Rendered", v)
+	}
+	for _, format := range results.Formats() {
+		if restored.Stored(format) {
+			t.Errorf("restored entry arrived with %s stored", format)
+		}
 	}
 }

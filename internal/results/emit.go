@@ -30,8 +30,8 @@ type Emitter interface {
 }
 
 // emitters is the fixed registry in presentation order: the default format
-// first.
-var emitters = []Emitter{textEmitter{}, jsonEmitter{}, csvEmitter{}}
+// first. An array, so Rendered can size its per-format slots by it.
+var emitters = [...]Emitter{textEmitter{}, jsonEmitter{}, csvEmitter{}}
 
 // Formats lists the registered emitter names, default first.
 func Formats() []string {

@@ -38,7 +38,7 @@ func TestOverloadShed(t *testing.T) {
 	s := NewServer(Config{MaxInflight: 1})
 	entered := make(chan struct{}, 4)
 	release := make(chan struct{})
-	h := s.admit(func(w http.ResponseWriter, r *http.Request) {
+	h := s.admit(func(w http.ResponseWriter, r *http.Request, _ call) {
 		entered <- struct{}{}
 		<-release // a closed channel admits every later request instantly
 		w.WriteHeader(http.StatusOK)
@@ -99,7 +99,7 @@ func TestAdmitQueue(t *testing.T) {
 	s := NewServer(Config{MaxInflight: 1, MaxQueue: 1})
 	entered := make(chan struct{}, 4)
 	release := make(chan struct{})
-	h := s.admit(func(w http.ResponseWriter, r *http.Request) {
+	h := s.admit(func(w http.ResponseWriter, r *http.Request, _ call) {
 		entered <- struct{}{}
 		<-release
 		w.WriteHeader(http.StatusOK)
@@ -146,13 +146,71 @@ func TestAdmitQueue(t *testing.T) {
 	waitGauge(t, func() int64 { return s.metrics.queued.Load() }, 0, "queued")
 }
 
+// TestAdmitQueueDeadline checks that the request deadline bounds the wait
+// for an admission slot: with the only slot held, a queued request carrying
+// timeout=50ms is shed with 503 + Retry-After when it fires, not admitted
+// once the slot frees.
+func TestAdmitQueueDeadline(t *testing.T) {
+	s := NewServer(Config{MaxInflight: 1, MaxQueue: 1})
+	entered := make(chan struct{}, 2)
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	free := func() { releaseOnce.Do(func() { close(release) }) }
+	h := s.admit(func(w http.ResponseWriter, r *http.Request, _ call) {
+		entered <- struct{}{}
+		<-release
+		w.WriteHeader(http.StatusOK)
+	})
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+	defer free() // before Close, which waits for the held request
+
+	go func() {
+		if resp, err := http.Get(ts.URL); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	<-entered // the slot is held until release
+
+	type result struct {
+		status     int
+		retryAfter string
+	}
+	queued := make(chan result, 1)
+	go func() {
+		resp, err := http.Get(ts.URL + "?timeout=50ms")
+		if err != nil {
+			queued <- result{status: -1}
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		queued <- result{resp.StatusCode, resp.Header.Get("Retry-After")}
+	}()
+	var got result
+	select {
+	case got = <-queued:
+	case <-time.After(5 * time.Second):
+		t.Error("queued request still waiting 5s past its 50ms deadline")
+		free()
+		got = <-queued
+	}
+	if got.status != http.StatusServiceUnavailable || got.retryAfter == "" {
+		t.Errorf("queued request past its deadline = %d (Retry-After %q), want 503 with Retry-After", got.status, got.retryAfter)
+	}
+	if n := s.metrics.shed.Load(); n != 1 {
+		t.Errorf("shed counter = %d, want 1", n)
+	}
+	waitGauge(t, func() int64 { return s.metrics.queued.Load() }, 0, "queued")
+}
+
 // TestDrainReleasesQueued checks that Drain sheds a waiter stuck in the
 // admission queue instead of leaving its connection hanging.
 func TestDrainReleasesQueued(t *testing.T) {
 	s := NewServer(Config{MaxInflight: 1, MaxQueue: 4})
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	h := s.admit(func(w http.ResponseWriter, r *http.Request) {
+	h := s.admit(func(w http.ResponseWriter, r *http.Request, _ call) {
 		close(entered)
 		<-release
 		w.WriteHeader(http.StatusOK)
@@ -283,8 +341,9 @@ func TestMetricsEndpoint(t *testing.T) {
 // cached and did not poison the key.
 func TestRequestTimeout(t *testing.T) {
 	_, ts := hardenedServer(t, Config{})
-	// A unique seed gives this test a fresh cache key.
-	const q = "/v1/run?id=matrix-size&seed=990001"
+	// A fresh seed per invocation gives this test a key the memo does not
+	// hold, also on repeat runs (-count).
+	q := fmt.Sprintf("/v1/run?id=matrix-size&seed=%d", freshSeed())
 	resp, err := http.Get(ts.URL + q + "&timeout=1ns")
 	if err != nil {
 		t.Fatal(err)

@@ -37,15 +37,14 @@ func (s *Server) proxyClient() *http.Client {
 	return &http.Client{Timeout: defaultProxyTimeout}
 }
 
-// proxy routes one compute request by its canonical key. It returns true if
-// the response was fully written (the request was forwarded to the owning
-// replica); false means the caller must serve locally — because sharding is
-// off, this replica owns the key, a peer already forwarded the request here
-// (loop guard), or the hop failed and local computation is the fallback.
+// proxy routes one compute request by its canonical key on a sharded
+// server (callers check Config.Ring first, so an unsharded server never
+// builds a routing key). It returns true if the response was fully written
+// (the request was forwarded to the owning replica); false means the caller
+// must serve locally — because this replica owns the key, a peer already
+// forwarded the request here (loop guard), or the hop failed and local
+// computation is the fallback.
 func (s *Server) proxy(w http.ResponseWriter, r *http.Request, key string) bool {
-	if s.cfg.Ring == nil {
-		return false
-	}
 	if r.Header.Get(proxyHeader) != "" {
 		// One hop only: a forwarded request is served where it lands.
 		s.metrics.proxyReceived.Add(1)

@@ -11,7 +11,17 @@
 // connection), every request carries a context deadline (the server's
 // -timeout flag, lowerable per request with timeout=) whose expiry cancels
 // in-flight sweep work, and a draining server rejects new compute work
-// while in-flight requests finish.
+// while in-flight requests finish. The deadline starts before admission, so
+// a request still queued when it fires is shed with 503. The gate parses
+// the query once and hands it, with the deadline, to the handler.
+//
+// A /v1/run hit is served from bytes stored on its memo entry: the second
+// time one experiment key is rendered in one format, those bytes are kept
+// (results.Rendered), and every later hit copies them into the response
+// without calling the emitter. A key rendered once stores nothing, a failed
+// rendering is never stored, and the bytes go with the memo entry — they
+// are not written to snapshots. /v1/scenario cells are rendered per
+// request.
 //
 // Endpoints (all GET):
 //
@@ -46,6 +56,7 @@ import (
 	"io"
 	"net/http"
 	httppprof "net/http/pprof"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -73,10 +84,11 @@ type Config struct {
 	// Base supplies the option defaults every request starts from (quick
 	// mode for a staging daemon, a pinned seed, the sweep worker budget).
 	Base experiments.Options
-	// Timeout bounds each compute request's evaluation when positive; a
-	// request's timeout= parameter may lower it but never raise it. An
-	// expired deadline cancels the request's in-flight sweep work (unless
-	// another request waits on the same cached key) and answers 504.
+	// Timeout bounds each compute request, from before its wait for an
+	// admission slot through its evaluation, when positive; a request's
+	// timeout= parameter may lower it but never raise it. An expired
+	// deadline cancels the request's in-flight sweep work (unless another
+	// request waits on the same cached key) and answers 504.
 	Timeout time.Duration
 	// MaxInflight caps concurrently admitted compute requests (/v1/run,
 	// /v1/scenario) when positive; 0 admits everything.
@@ -194,17 +206,32 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 	}
 }
 
-// admit is the load-shedding gate in front of the compute endpoints. A free
-// slot admits immediately; otherwise the request waits in a bounded queue
-// until a slot frees, its deadline fires (503), or the queue is already
-// full on arrival (429). A draining server sheds everything. Shed responses
-// always carry Retry-After and are counted.
-func (s *Server) admit(h http.HandlerFunc) http.HandlerFunc {
+// call is one compute request as the admission gate hands it on: its query,
+// parsed once, and its evaluation context, whose deadline already bounded
+// the wait for an admission slot.
+type call struct {
+	q   url.Values
+	ctx context.Context
+	// badTimeout is the 400 message for a malformed timeout= parameter.
+	// Such a request waits under the server deadline alone, and its handler
+	// answers the 400 after checking the other parameters.
+	badTimeout string
+}
+
+// admit is the load-shedding gate in front of the compute endpoints. It
+// builds the request's call first, so the request deadline covers the wait.
+// A free slot admits immediately; otherwise the request waits in a bounded
+// queue until a slot frees, its deadline fires or its client leaves (503),
+// or the queue is already full on arrival (429). A draining server sheds
+// everything. Shed responses always carry Retry-After and are counted.
+func (s *Server) admit(h func(http.ResponseWriter, *http.Request, call)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.metrics.draining.Load() {
 			s.shed(w, http.StatusServiceUnavailable, "draining: retry against another replica")
 			return
 		}
+		c, cancel := s.newCall(r)
+		defer cancel()
 		if s.sem != nil {
 			select {
 			case s.sem <- struct{}{}: // fast path: free slot
@@ -217,7 +244,7 @@ func (s *Server) admit(h http.HandlerFunc) http.HandlerFunc {
 				select {
 				case s.sem <- struct{}{}:
 					s.metrics.queued.Add(-1)
-				case <-r.Context().Done():
+				case <-c.ctx.Done():
 					s.metrics.queued.Add(-1)
 					s.shed(w, http.StatusServiceUnavailable, "overloaded: gave up waiting for an admission slot")
 					return
@@ -231,7 +258,7 @@ func (s *Server) admit(h http.HandlerFunc) http.HandlerFunc {
 		}
 		s.metrics.inflight.Add(1)
 		defer s.metrics.inflight.Add(-1)
-		h(w, r)
+		h(w, r, c)
 	}
 }
 
@@ -271,47 +298,47 @@ func (s *Server) experiments(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) run(w http.ResponseWriter, r *http.Request) {
+func (s *Server) run(w http.ResponseWriter, r *http.Request, c call) {
 	if !methodGet(w, r) {
 		return
 	}
-	id := r.URL.Query().Get("id")
+	id := c.q.Get("id")
 	if id == "" {
 		http.Error(w, "missing id parameter (see /v1/experiments)", http.StatusBadRequest)
 		return
 	}
-	opts, em, ok := s.requestOptions(w, r)
+	opts, em, ok := s.requestOptions(w, c.q)
 	if !ok {
 		return
 	}
 	// An unknown id falls through to the local path, which answers the 404.
-	if key, err := experiments.DatasetKey(id, opts); err == nil && s.proxy(w, r, key) {
+	if s.cfg.Ring != nil {
+		if key, err := experiments.DatasetKey(id, opts); err == nil && s.proxy(w, r, key) {
+			return
+		}
+	}
+	if !c.timeoutOK(w) {
 		return
 	}
-	ctx, cancel, ok := s.requestContext(w, r)
-	if !ok {
-		return
-	}
-	defer cancel()
-	opts.Ctx = ctx
-	d, err := experiments.RunDataset(id, opts)
+	opts.Ctx = c.ctx
+	rd, err := experiments.RunRendered(id, opts)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	emit(w, em, d)
+	emitRendered(w, em, rd)
 }
 
-func (s *Server) scenario(w http.ResponseWriter, r *http.Request) {
+func (s *Server) scenario(w http.ResponseWriter, r *http.Request, c call) {
 	if !methodGet(w, r) {
 		return
 	}
-	spec := r.URL.Query().Get("spec")
+	spec := c.q.Get("spec")
 	if spec == "" {
 		http.Error(w, "missing spec parameter (e.g. spec=dlrm/policy=cxl:63)", http.StatusBadRequest)
 		return
 	}
-	opts, em, ok := s.requestOptions(w, r)
+	opts, em, ok := s.requestOptions(w, c.q)
 	if !ok {
 		return
 	}
@@ -320,15 +347,13 @@ func (s *Server) scenario(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if s.proxy(w, r, experiments.ScenarioKey(opts, sc)) {
+	if s.cfg.Ring != nil && s.proxy(w, r, experiments.ScenarioKey(opts, sc)) {
 		return
 	}
-	ctx, cancel, ok := s.requestContext(w, r)
-	if !ok {
+	if !c.timeoutOK(w) {
 		return
 	}
-	defer cancel()
-	opts.Ctx = ctx
+	opts.Ctx = c.ctx
 	d, err := experiments.ScenarioResult(opts, sc)
 	if err != nil {
 		writeError(w, err)
@@ -360,33 +385,43 @@ func writeError(w http.ResponseWriter, err error) {
 	http.Error(w, err.Error(), status)
 }
 
-// requestContext derives the request's evaluation context: the server
-// deadline, lowered (never raised) by a timeout= parameter. On a malformed
-// parameter it writes a 400 and returns ok=false.
-func (s *Server) requestContext(w http.ResponseWriter, r *http.Request) (context.Context, context.CancelFunc, bool) {
+// newCall parses the request's query and derives its evaluation context:
+// the server deadline, lowered (never raised) by a timeout= parameter. A
+// malformed parameter leaves the server deadline in force and is recorded
+// on the call for the handler to answer.
+func (s *Server) newCall(r *http.Request) (call, context.CancelFunc) {
+	c := call{q: r.URL.Query(), ctx: r.Context()}
 	limit := s.cfg.Timeout
-	if v := r.URL.Query().Get("timeout"); v != "" {
+	if v := c.q.Get("timeout"); v != "" {
 		d, err := time.ParseDuration(v)
 		if err != nil || d <= 0 {
-			http.Error(w, fmt.Sprintf("bad timeout parameter %q (want a positive duration, e.g. 500ms)", v), http.StatusBadRequest)
-			return nil, nil, false
-		}
-		if limit == 0 || d < limit {
+			c.badTimeout = fmt.Sprintf("bad timeout parameter %q (want a positive duration, e.g. 500ms)", v)
+		} else if limit == 0 || d < limit {
 			limit = d
 		}
 	}
 	if limit <= 0 {
-		return r.Context(), func() {}, true
+		return c, func() {}
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), limit)
-	return ctx, cancel, true
+	ctx, cancel := context.WithTimeout(c.ctx, limit)
+	c.ctx = ctx
+	return c, cancel
+}
+
+// timeoutOK writes the 400 for a malformed timeout= parameter and reports
+// whether the parameter was well formed (or absent).
+func (c call) timeoutOK(w http.ResponseWriter) bool {
+	if c.badTimeout != "" {
+		http.Error(w, c.badTimeout, http.StatusBadRequest)
+		return false
+	}
+	return true
 }
 
 // requestOptions resolves the request's option overrides and emitter on top
 // of the server base; on failure it writes a 400 and returns ok=false.
-func (s *Server) requestOptions(w http.ResponseWriter, r *http.Request) (experiments.Options, results.Emitter, bool) {
+func (s *Server) requestOptions(w http.ResponseWriter, q url.Values) (experiments.Options, results.Emitter, bool) {
 	opts := s.cfg.Base
-	q := r.URL.Query()
 	if q.Has("platform") {
 		// Platform names are lowercase in the registry; accept the same
 		// spellings the -platform flag does. Presence (not non-emptiness)
@@ -473,6 +508,13 @@ func writeBuffered(w http.ResponseWriter, contentType string, render func(io.Wri
 func emit(w http.ResponseWriter, em results.Emitter, d *results.Dataset) {
 	// The dataset is shared with the memo cache; emitters never mutate it.
 	respond(w, em.ContentType(), func(dst []byte) ([]byte, error) { return em.Append(dst, d) })
+}
+
+// emitRendered is emit for a memo entry: a format already rendered twice is
+// copied from its stored bytes into the pooled buffer, so the buffer respond
+// recycles never aliases them.
+func emitRendered(w http.ResponseWriter, em results.Emitter, rd *results.Rendered) {
+	respond(w, em.ContentType(), func(dst []byte) ([]byte, error) { return rd.Append(dst, em) })
 }
 
 // methodGet rejects non-GET requests with 405.
